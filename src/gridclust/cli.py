@@ -65,6 +65,7 @@ def _read_labels_csv(path: Path) -> dict[CellIndex, int]:
     if not lines or lines[0].strip() != "row,col,label":
         raise ParameterError(f"{path}: expected header 'row,col,label'")
     cells: dict[CellIndex, int] = {}
+    line_of: dict[CellIndex, int] = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -77,7 +78,13 @@ def _read_labels_csv(path: Path) -> dict[CellIndex, int]:
             raise ParameterError(f"{path} line {i}: non-integer entry") from None
         if r < 0 or c < 0 or lab < 0:
             raise ParameterError(f"{path} line {i}: negative entry")
-        cells[CellIndex(r, c)] = lab
+        cell = CellIndex(r, c)
+        if cell in line_of:
+            raise ParameterError(
+                f"{path} line {i}: cell ({r}, {c}) already labeled on line {line_of[cell]}"
+            )
+        line_of[cell] = i
+        cells[cell] = lab
     return cells
 
 
@@ -369,6 +376,11 @@ def _cmd_compare(args) -> int:
         raise ParameterError("--elevation requires --dataset (grid geometry is unknown otherwise)")
     else:
         all_cells = list(cells_a) + list(cells_b)
+        if not all_cells:
+            raise ParameterError(
+                f"{args.labels_a} and {args.labels_b} label no cells, so the grid "
+                "size is unknown; pass --dataset"
+            )
         nrows = max(c.row for c in all_cells) + 1
         ncols = max(c.col for c in all_cells) + 1
         geometry = GridGeometry(PLANAR, 0.0, 0.0, 1.0, 1.0, nrows, ncols)

@@ -19,16 +19,19 @@ The number of cores is an output of the process, never an input.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import EmptyDomainError, ParameterError, ShapeMismatchError
 from .gridcore import (
     NEIGHBOR_OFFSETS,
     CellIndex,
+    GridGeometry,
     ScalarField,
     ZoneMap,
     chebyshev,
@@ -215,9 +218,13 @@ def watershed_zones(
 
     Queue entries are ``(value, row, col)`` with the extremal value popped
     first (largest under maxima orientation), ties broken by smaller
-    (row, col), then by earlier insertion.  A cell is labeled on its first
-    pop; its unmasked 8-neighbors are then enqueued under the same label.
-    Unmasked cells unreachable from every focus stay unlabeled.
+    (row, col).  When a cell is popped, each of its unmasked 8-neighbors not
+    yet labeled takes the popped cell's label and is enqueued, so a cell
+    carries the label of the zone that first reaches it.  This equals
+    labelling each cell at its first pop with ties broken by earlier
+    insertion: all entries a cell could get share one key, so the earliest
+    would pop first.  Unmasked cells unreachable from every focus stay
+    unlabeled.
     """
     maxima = _check_orientation(orientation)
     if not foci:
@@ -229,33 +236,29 @@ def watershed_zones(
 
     labels = np.full(geom.shape, -1, dtype=np.int32)
     anchors: dict[int, CellIndex] = {}
-    seen_cells = set()
-    heap: list[tuple[float, int, int, int, int]] = []
-    seq = 0
+    heap: list[tuple[float, int, int]] = []
     for i, fp in enumerate(foci):
         r, c = fp.cell
         if not geom.contains(r, c):
             raise ParameterError(f"focus {fp.cell} outside the grid")
         if not mask[r, c]:
             raise ParameterError(f"focus {fp.cell} lies on a masked cell")
-        if (r, c) in seen_cells:
+        if labels[r, c] != -1:
             raise ParameterError(f"duplicate focus cell {fp.cell}")
-        seen_cells.add((r, c))
+        labels[r, c] = i
         anchors[i] = CellIndex(r, c)
-        heapq.heappush(heap, (sign * values[r, c], r, c, seq, i))
-        seq += 1
+        heap.append((sign * values[r, c], r, c))
+    heapq.heapify(heap)
 
     nrows, ncols = geom.shape
     while heap:
-        _, r, c, _, lab = heapq.heappop(heap)
-        if labels[r, c] != -1:
-            continue
-        labels[r, c] = lab
+        _, r, c = heapq.heappop(heap)
+        lab = labels[r, c]
         for dr, dc in NEIGHBOR_OFFSETS:
             nr, nc = r + dr, c + dc
             if 0 <= nr < nrows and 0 <= nc < ncols and mask[nr, nc] and labels[nr, nc] == -1:
-                heapq.heappush(heap, (sign * values[nr, nc], nr, nc, seq, lab))
-                seq += 1
+                labels[nr, nc] = lab
+                heapq.heappush(heap, (sign * values[nr, nc], nr, nc))
     return ZoneMap(geom, labels, anchors)
 
 
@@ -276,25 +279,26 @@ def mine_frequent_foci(
 
 
 def _group_cells(cells: list[CellIndex], max_dist: int) -> list[list[CellIndex]]:
-    """Transitive closure of 'within Chebyshev distance max_dist' over cells."""
-    parent = list(range(len(cells)))
+    """Transitive closure of 'within Chebyshev distance max_dist' over cells.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if chebyshev(cells[i], cells[j]) <= max_dist:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    Each group keeps the order of ``cells``, so sorted input gives sorted
+    groups.
+    """
+    n = len(cells)
+    pairs = cKDTree(cells).query_pairs(max_dist, p=np.inf, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
     groups: dict[int, list[CellIndex]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(find(i), []).append(cell)
-    return [sorted(g) for g in groups.values()]
+    for cell, k in zip(cells, component.tolist()):
+        groups.setdefault(k, []).append(cell)
+    return list(groups.values())
+
+
+def _shared_geometry(yearly_zones: Sequence[ZoneMap]) -> GridGeometry:
+    geom = yearly_zones[0].geometry
+    if any(zm.geometry.shape != geom.shape for zm in yearly_zones):
+        raise ShapeMismatchError("yearly zone maps must share a geometry")
+    return geom
 
 
 def build_cores(
@@ -320,37 +324,45 @@ def build_cores(
     if not cells:
         return []
     max_dist = 1 if mode == MODE_CC else radius
-    groups = _group_cells(cells, max_dist)
+    groups = sorted(
+        _group_cells(cells, max_dist),
+        key=lambda group: (-max(table.counts[c] for c in group), group[0]),
+    )
+    core_of = {cell: i for i, group in enumerate(groups) for cell in group}
 
-    # Zone membership lookups, one pass per year.
-    anchor_zone_cells: dict[CellIndex, list[list[CellIndex]]] = {c: [] for c in cells}
-    for zm in yearly_zones:
-        for label, anchor in zm.anchors.items():
-            if anchor in anchor_zone_cells:
-                anchor_zone_cells[anchor].append(zm.cells_of(label))
+    extents = [set(group) for group in groups]
+    if yearly_zones:
+        geom = _shared_geometry(yearly_zones)
+        # zone_hit[i, cell]: some year's zone anchored on a member of core i
+        # holds the (flat) cell.
+        zone_hit = np.zeros((len(groups), geom.nrows * geom.ncols), dtype=bool)
+        for zm in yearly_zones:
+            top = max([int(zm.labels.max()), *zm.anchors])
+            # One spare trailing slot: label -1 (unlabeled) indexes it and reads -1.
+            label_core = np.full(top + 2, -1, dtype=np.intp)
+            for label, anchor in zm.anchors.items():
+                if label >= 0:
+                    label_core[label] = core_of.get(anchor, -1)
+            core_ids = label_core[zm.labels.ravel()]
+            hit = np.flatnonzero(core_ids >= 0)
+            zone_hit[core_ids[hit], hit] = True
+        for extent, row in zip(extents, zone_hit):
+            rows, cols = np.divmod(np.flatnonzero(row), geom.ncols)
+            extent.update(map(CellIndex, rows.tolist(), cols.tolist()))
 
-    def sort_key(group: list[CellIndex]):
-        return (-max(table.counts[c] for c in group), group[0])
-
-    cores = []
-    for i, group in enumerate(sorted(groups, key=sort_key)):
-        extent = set(group)
-        for member in group:
-            for zone_cells in anchor_zone_cells[member]:
-                extent.update(zone_cells)
-        cores.append(
-            Core(
-                id=i,
-                member_cells=tuple(group),
-                member_counts=tuple(table.counts[c] for c in group),
-                total_years=table.total_years,
-                mode=mode,
-                radius=radius if mode == MODE_CR else None,
-                dominance=None,
-                extent=frozenset(extent),
-            )
+    return [
+        Core(
+            id=i,
+            member_cells=tuple(group),
+            member_counts=tuple(table.counts[c] for c in group),
+            total_years=table.total_years,
+            mode=mode,
+            radius=radius if mode == MODE_CR else None,
+            dominance=None,
+            extent=frozenset(extent),
         )
-    return cores
+        for i, (group, extent) in enumerate(zip(groups, extents))
+    ]
 
 
 def classify_core(
@@ -413,19 +425,18 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
         raise ParameterError("consensus requires at least one yearly zone map")
     if not cores:
         raise ParameterError("consensus requires at least one core")
-    geom = yearly_zones[0].geometry
+    geom = _shared_geometry(yearly_zones)
+    ncores, ncells = len(cores), geom.nrows * geom.ncols
+    codes = []
     for zm in yearly_zones:
-        if zm.geometry.shape != geom.shape:
-            raise ShapeMismatchError("yearly zone maps must share a geometry")
-    ncores = len(cores)
-    votes = np.zeros((ncores,) + geom.shape, dtype=np.int32)
-    for zm in yearly_zones:
-        translated = _translate_to_cores(zm, cores)
-        for cid in range(ncores):
-            votes[cid] += translated == cid
-    total = votes.sum(axis=0)
-    winner = votes.argmax(axis=0).astype(np.int32)  # first max = smallest id
-    labels = np.where(total > 0, winner, -1)
+        translated = _translate_to_cores(zm, cores).ravel().astype(np.intp)
+        # Only ids 0..ncores-1 vote; unlabeled cells (-1) and other ids do not.
+        voted = np.flatnonzero((translated >= 0) & (translated < ncores))
+        codes.append(translated[voted] * ncells + voted)
+    votes = np.bincount(np.concatenate(codes), minlength=ncores * ncells)
+    votes = votes.reshape(ncores, ncells)
+    winner = votes.argmax(axis=0)  # first max = smallest id
+    labels = np.where(votes.sum(axis=0) > 0, winner, -1).reshape(geom.shape)
     anchors = {core.id: core.representative for core in cores}
     return ZoneMap(geom, labels, anchors)
 
@@ -459,55 +470,28 @@ class MisticResult:
     notices: tuple[str, ...]
 
 
-def _year_products(
-    field: ScalarField, year: int, orientation: str
-) -> tuple[list[FocusPoint], ZoneMap]:
-    foci = detect_focus_points(field, orientation, year=year)
-    if foci:
-        zones = watershed_zones(field, foci, orientation)
-    else:
-        zones = ZoneMap(field.geometry, np.full(field.geometry.shape, -1, np.int32), {})
-    return foci, zones
-
-
-def run_mistic(
-    stack: AnnualMeanStack, params: MisticParams = MisticParams(), workers: int = 1
-) -> MisticResult:
+def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) -> MisticResult:
     """Compose the full pipeline over an annual-mean stack.
 
     Every year runs over the stack's combined mask so recurrence is counted
-    on a stable domain.  Per-year stages may run on a thread pool
-    (``workers``); outputs are identical to sequential execution.
+    on a stable domain.
     """
     if stack.n_years == 0:
         raise EmptyDomainError("stack has no years")
     _check_orientation(params.orientation)
     notices: list[str] = []
 
-    fields = {
-        year: ScalarField(stack.geometry, f.values, stack.mask, f.units)
-        for year, f in zip(stack.years, stack.fields)
-    }
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                year: pool.submit(_year_products, fields[year], year, params.orientation)
-                for year in stack.years
-            }
-            products = {year: futures[year].result() for year in stack.years}
-    else:
-        products = {
-            year: _year_products(fields[year], year, params.orientation)
-            for year in stack.years
-        }
-
-    yearly_foci = {year: tuple(p[0]) for year, p in products.items()}
-    yearly_zones = {year: p[1] for year, p in products.items()}
-
-    for year in stack.years:
-        if not yearly_foci[year]:
+    yearly_foci: dict[int, tuple[FocusPoint, ...]] = {}
+    yearly_zones: dict[int, ZoneMap] = {}
+    for year, f in zip(stack.years, stack.fields):
+        field = ScalarField(stack.geometry, f.values, stack.mask, f.units)
+        foci = detect_focus_points(field, params.orientation, year=year)
+        yearly_foci[year] = tuple(foci)
+        if not foci:
             notices.append(f"year {year}: no focus points detected")
+            yearly_zones[year] = ZoneMap(stack.geometry, np.full(stack.geometry.shape, -1), {})
             continue
+        yearly_zones[year] = watershed_zones(field, foci, params.orientation)
         unreached = int((stack.mask & (yearly_zones[year].labels == -1)).sum())
         if unreached:
             notices.append(f"year {year}: {unreached} unmasked cells unreachable from any focus")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridclust.gridcore import (
     CELSIUS,
@@ -10,6 +11,11 @@ from gridclust.gridcore import (
     neighbors8,
 )
 from gridclust.synth import write_planted_dataset
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite is reproducible and leaves no .hypothesis/ behind.
+settings.register_profile("gridclust", derandomize=True, database=None, deadline=None)
+settings.load_profile("gridclust")
 
 
 def planar_geom(nrows, ncols, cell=1.0):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridclust.analysis import (
     adjusted_rand,
@@ -156,6 +158,31 @@ class TestMatchedJaccard:
         t1 = matched_jaccard(contingency(zone_of([a]), zone_of([b])))
         t2 = matched_jaccard(contingency(zone_of([perm[a]]), zone_of([b])))
         assert sum(s for _, _, s in t1) == pytest.approx(sum(s for _, _, s in t2), abs=1e-12)
+
+
+@st.composite
+def labelings_and_permutations(draw):
+    """Two label rows over the same cells (-1 = unlabeled), plus a
+    relabelling permutation for each."""
+    n = draw(st.integers(2, 40))
+    row = st.lists(st.integers(-1, 5), min_size=n, max_size=n)
+    a, b = draw(row), draw(row)
+    perm_a, perm_b = draw(st.permutations(range(6))), draw(st.permutations(range(6)))
+    return a, b, perm_a, perm_b
+
+
+@given(labelings_and_permutations())
+def test_ari_and_matched_jaccard_ignore_label_permutations(case):
+    a, b, perm_a, perm_b = case
+    relabel = lambda row, perm: [perm[v] if v >= 0 else -1 for v in row]  # noqa: E731
+    t1 = contingency(zone_of([a]), zone_of([b]))
+    t2 = contingency(zone_of([relabel(a, perm_a)]), zone_of([relabel(b, perm_b)]))
+    if t1.total >= 2:
+        assert adjusted_rand(t1) == adjusted_rand(t2)
+    m1, m2 = matched_jaccard(t1), matched_jaccard(t2)
+    assert sum(s for _, _, s in m1) == pytest.approx(sum(s for _, _, s in m2), abs=1e-12)
+    unmatched = lambda m: sorted((x is None, y is None) for x, y, _ in m)  # noqa: E731
+    assert unmatched(m1) == unmatched(m2)
 
 
 class TestClusterSummary:

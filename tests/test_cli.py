@@ -207,6 +207,21 @@ class TestCompareCommand:
         assert run("compare", mi_out / "consensus.csv", mi_out / "consensus.csv",
                    "--elevation", elev, "--out", tmp_path / "o") == 2
 
+    def test_header_only_files_without_dataset_exit_two(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("row,col,label\n")
+        b.write_text("row,col,label\n")
+        assert run("compare", a, b, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert str(a) in err and str(b) in err
+
+    def test_duplicate_cell_exits_two(self, mi_out, tmp_path, capsys):
+        dup = tmp_path / "dup.csv"
+        dup.write_text("row,col,label\n0,0,1\n0,1,1\n0,0,2\n")
+        assert run("compare", dup, mi_out / "consensus.csv", "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert str(dup) in err and "line 4" in err and "line 2" in err
+
 
 class TestRenderCommand:
     def test_renders_labels_csv(self, mi_out, tmp_path):

@@ -377,18 +377,6 @@ class TestRunMistic:
         assert (res.consensus.labels == -1).all()
         assert any("no focus points" in n for n in res.notices)
 
-    def test_workers_match_sequential(self):
-        stack, _ = make_planted_stack(nrows=12, ncols=12, n_years=6, b_exact=3, seed=2)
-        params = MisticParams(orientation="maxima", min_years=3)
-        seq = run_mistic(stack, params, workers=1)
-        par = run_mistic(stack, params, workers=4)
-        assert np.array_equal(seq.consensus.labels, par.consensus.labels)
-        for year in seq.years:
-            assert np.array_equal(
-                seq.yearly_zones[year].labels, par.yearly_zones[year].labels
-            )
-        assert seq.table.counts == par.table.counts
-
     def test_determinism_across_runs(self):
         stack, _ = make_planted_stack(nrows=12, ncols=12, n_years=5, b_exact=2, seed=9)
         params = MisticParams(orientation="maxima", min_years=2)
