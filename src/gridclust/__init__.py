@@ -16,6 +16,7 @@ from .errors import (  # noqa: F401
     EmptyDomainError,
     GridClustError,
     GridSizeError,
+    InternalError,
     ParameterError,
     ShapeMismatchError,
     UnitError,

@@ -43,3 +43,7 @@ class DatasetError(GridClustError, ValueError):
 
 class DomainError(GridClustError, ValueError):
     """Too few cells (or degenerate input) for the requested statistic."""
+
+
+class InternalError(GridClustError, RuntimeError):
+    """An internal consistency check failed (a bug, not a bad input)."""

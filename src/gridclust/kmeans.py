@@ -6,6 +6,12 @@ of empty clusters.  The stopping rule is assignment stability: iterate until
 the partition is identical to the one from the previous pass (an inertia
 tolerance and an iteration cap are available as additional guards).
 
+The assignment step prunes with exact Hamerly bounds: a cell whose distance
+to its own centroid is, by a strict and rounding-safe margin, below a lower
+bound on its distance to every other centroid keeps its label without a
+distance row.  Every other cell gets a full row.  Results therefore equal
+those of the unpruned loop bit for bit.
+
 All reductions run through numpy's fixed-order single-threaded paths, so
 results are bit-identical across runs and across caller thread counts.
 """
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDomainError, ParameterError
+from .errors import EmptyDomainError, InternalError, ParameterError
 from .gridcore import PLANAR, CellIndex, GridGeometry, ZoneMap
 from .ingest import AnnualMeanStack
 
@@ -132,13 +138,49 @@ def build_features(stack: AnnualMeanStack, standardize: bool = True) -> FeatureM
     return FeatureMatrix(stack.geometry, cells, mat, stack.years, means, scales)
 
 
-def _sq_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances with a fixed reduction order."""
+def _sq_distances(X: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances with a fixed reduction order.
+
+    ``work`` is a C-contiguous float array with at least n rows and X's
+    columns; its leading rows receive each column's differences.  Reusing
+    one scratch array across passes saves large allocations per pass.
+    """
     n, k = X.shape[0], centroids.shape[0]
     out = np.empty((n, k), dtype=np.float64)
+    diff = work[:n]
     for j in range(k):
-        diff = X - centroids[j]
+        np.subtract(X, centroids[j], out=diff)
         out[:, j] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _own_sq_distances(
+    X: np.ndarray, centroids: np.ndarray, labels: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Squared distance of each row to its own centroid.
+
+    Row for row the same kernel as :func:`_sq_distances`, so each value has
+    the same bits as the matching entry of the full distance matrix.
+    ``work``, a scratch array shaped like ``X``, receives the differences.
+    """
+    np.subtract(X, centroids[labels], out=work)
+    return np.einsum("ij,ij->i", work, work)
+
+
+def _centroids(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each cluster's rows (NaN for an empty cluster).
+
+    A stable sort by label makes each cluster one contiguous slice holding
+    the rows of ``X[labels == j]`` in the same order, so the means have the
+    same bits as masking cluster by cluster.
+    """
+    ordered = X[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    out = np.empty((k, X.shape[1]), dtype=np.float64)
+    start = 0
+    for j, end in enumerate(ends):
+        out[j] = ordered[start:end].mean(axis=0)
+        start = end
     return out
 
 
@@ -171,8 +213,8 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 def _labels_grid(features: FeatureMatrix, point_labels: np.ndarray) -> np.ndarray:
     grid = np.full(features.geometry.shape, -1, dtype=np.int32)
-    for cell, lab in zip(features.cells, point_labels):
-        grid[cell.row, cell.col] = lab
+    rows, cols = zip(*features.cells)
+    grid[rows, cols] = point_labels
     return grid
 
 
@@ -187,7 +229,29 @@ def run_kmeans(
 
     Assignment ties go to the lowest cluster id.  An iteration that leaves a
     cluster empty reassigns the point farthest from its own centroid to it.
-    Inertia is verified non-increasing on every iteration.
+    Inertia is verified non-increasing on every iteration; an increase
+    raises :class:`InternalError`.
+
+    Assignment keeps, per cell, ``lower``: a lower bound on the distance to
+    every centroid other than its own (Hamerly 2010).  Each pass computes the
+    squared distance ``own`` to the cell's current centroid exactly, and the
+    cell keeps its label when ``sqrt(own) + slack < lower``.  Every other
+    cell gets its full distance row, takes the row's argmin and resets
+    ``lower`` to the square root of the row's second-smallest entry.  After
+    the centroid update every ``lower`` drops by the largest centroid shift
+    plus ``slack`` (triangle inequality); cells moved by the empty-cluster
+    repair get ``lower = -inf`` and so a full row on the next pass.
+
+    Why the skipped rows would have given the same label: centroids are
+    rows or means of rows of X, so every distance is at most 2R, R the
+    largest row norm.  A computed distance, its square root or a computed
+    shift is off by at most about (p + 4) * 2**-53 * 2R, far below
+    ``slack = 1e-9 * (p + 1) * (1 + R)``.  The bound updates subtract one
+    ``slack`` per pass and the test adds one more, so when the test passes
+    every other centroid's computed squared distance exceeds ``own``
+    strictly: the full row's argmin would be the same label, with no tie to
+    a lower id.  ``own``, and with it the inertia, is the same computed
+    value as the full row's entry.  A NaN bound fails the test.
     """
     X = features.matrix
     n = X.shape[0]
@@ -200,31 +264,42 @@ def run_kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(X, k, rng)
+    radius = float(np.sqrt(np.einsum("ij,ij->i", X, X).max()))
+    slack = 1e-9 * (X.shape[1] + 1) * (1.0 + radius)
 
     prev_labels: np.ndarray | None = None
     prev_inertia = np.inf
     history: list[float] = []
     converged_by = "max_iter"
     labels = np.zeros(n, dtype=np.int64)
+    lower = np.full(n, -np.inf)  # the first pass computes every row
+    work = np.empty_like(X)
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        dists = _sq_distances(X, centroids)
-        labels = np.argmin(dists, axis=1)
-        own = dists[np.arange(n), labels]
+        own = _own_sq_distances(X, centroids, labels, work)
+        redo = np.flatnonzero(~(np.sqrt(own) + slack < lower))
+        if redo.size:
+            dists = _sq_distances(X[redo], centroids, work)
+            near = np.argmin(dists, axis=1)
+            rows = np.arange(redo.size)
+            labels[redo] = near
+            own[redo] = dists[rows, near]
+            dists[rows, near] = np.inf
+            lower[redo] = np.sqrt(dists.min(axis=1))
         inertia = float(own.sum())
 
         counts = np.bincount(labels, minlength=k)
         if np.any(counts == 0):
-            own = own.copy()
             for j in np.flatnonzero(counts == 0):
                 far = int(np.argmax(own))
                 labels[far] = j
                 own[far] = -np.inf
+                lower[far] = -np.inf
 
         if history and inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
-            raise AssertionError(
-                f"inertia increased between iterations: {history[-1]} -> {inertia}"
+            raise InternalError(
+                f"k-means inertia increased between iterations: {history[-1]} -> {inertia}"
             )
         history.append(inertia)
 
@@ -234,19 +309,16 @@ def run_kmeans(
         if prev_labels is not None and tol > 0 and (prev_inertia - inertia) < tol:
             converged_by = "tol"
             break
-        prev_labels = labels
+        prev_labels = labels.copy()
         prev_inertia = inertia
 
-        new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            new_centroids[j] = X[labels == j].mean(axis=0)
+        new_centroids = _centroids(X, labels, k)
+        step = new_centroids - centroids
+        lower -= np.sqrt(np.einsum("ij,ij->i", step, step).max()) + slack
         centroids = new_centroids
 
-    final_centroids = np.empty((k, X.shape[1]), dtype=np.float64)
-    for j in range(k):
-        final_centroids[j] = X[labels == j].mean(axis=0)
-    dists = _sq_distances(X, final_centroids)
-    inertia = float(dists[np.arange(n), labels].sum())
+    final_centroids = _centroids(X, labels, k)
+    inertia = float(_own_sq_distances(X, final_centroids, labels, work).sum())
 
     return ClusterMap(
         geometry=features.geometry,
@@ -270,14 +342,19 @@ def sweep_k(
     """Best-of-``restarts`` run per requested k, ordered by ascending k.
 
     Restart r uses derived seed ``seed + r``, so a larger restart budget can
-    only improve (or match) the kept inertia for the same base seed.
+    only improve (or match) the kept inertia for the same base seed.  A k
+    listed twice is rejected.
     """
     if not ks:
         raise ParameterError("ks must be non-empty")
     if restarts < 1:
         raise ParameterError("restarts must be >= 1")
+    ks = sorted(int(k) for k in ks)
+    repeated = sorted({a for a, b in zip(ks, ks[1:]) if a == b})
+    if repeated:
+        raise ParameterError(f"ks lists k = {', '.join(map(str, repeated))} more than once")
     results = []
-    for k in sorted(int(k) for k in ks):
+    for k in ks:
         best: ClusterMap | None = None
         for r in range(restarts):
             run = run_kmeans(features, k, seed=seed + r)

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from gridclust import kmeans
 from gridclust.cli import main
 
 from test_ingest import constant_lines, manifest_doc, write_gts
@@ -95,6 +96,24 @@ class TestKmeansCommand:
     def test_bad_k_list_exits_two(self, demo_dataset, tmp_path):
         root, _ = demo_dataset
         assert run("kmeans", "--dataset", root, "--k", "a,b", "--out", tmp_path / "x") == 2
+
+    def test_repeated_k_exits_two(self, demo_dataset, tmp_path, capsys):
+        root, _ = demo_dataset
+        out = tmp_path / "dup"
+        assert run("kmeans", "--dataset", root, "--k", "2,2", "--restarts", "1",
+                   "--out", out) == 2
+        assert "k = 2 more than once" in capsys.readouterr().err
+        assert not (out / "kmeans_report.json").exists()
+
+    def test_internal_error_exits_two(self, demo_dataset, tmp_path, capsys, monkeypatch):
+        true_centroids = kmeans._centroids
+        monkeypatch.setattr(
+            kmeans, "_centroids", lambda X, labels, k: true_centroids(X, labels, k) + 100.0
+        )
+        root, _ = demo_dataset
+        assert run("kmeans", "--dataset", root, "--k", "2", "--restarts", "1",
+                   "--out", tmp_path / "bad") == 2
+        assert "error: k-means inertia increased" in capsys.readouterr().err
 
 
 class TestMisticCommand:

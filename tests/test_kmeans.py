@@ -4,7 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gridclust.errors import EmptyDomainError, ParameterError
+from gridclust import kmeans
+from gridclust.errors import EmptyDomainError, InternalError, ParameterError
 from gridclust.gridcore import CELSIUS
 from gridclust.ingest import AnnualMeanStack
 from gridclust.kmeans import FeatureMatrix, build_features, run_kmeans, sweep_k
@@ -175,6 +176,16 @@ class TestRunKmeans:
             inertia += ((pts - pts.mean(axis=0)) ** 2).sum()
         assert inertia == pytest.approx(run.inertia, rel=1e-12)
 
+    def test_inertia_increase_raises_internal_error(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        feats = FeatureMatrix.from_matrix(rng.normal(size=(30, 2)))
+        true_centroids = kmeans._centroids
+        monkeypatch.setattr(
+            kmeans, "_centroids", lambda X, labels, k: true_centroids(X, labels, k) + 100.0
+        )
+        with pytest.raises(InternalError, match="inertia increased"):
+            run_kmeans(feats, 3, seed=0)
+
     def test_masked_cells_unlabeled(self):
         mask = np.array([[True, False], [True, True]])
         f1 = make_field([[0.0, 0.0], [5.0, 5.1]], mask=mask, units=CELSIUS)
@@ -210,3 +221,8 @@ class TestSweep:
         feats = FeatureMatrix.from_matrix(np.arange(4.0))
         with pytest.raises(ParameterError):
             sweep_k(feats, [])
+
+    def test_repeated_k_rejected(self):
+        feats = FeatureMatrix.from_matrix(np.arange(6.0))
+        with pytest.raises(ParameterError, match="k = 2 more than once"):
+            sweep_k(feats, [3, 2, 2], restarts=1)
