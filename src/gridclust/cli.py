@@ -60,8 +60,10 @@ def _labels_csv(labels: np.ndarray) -> str:
 
 
 def _read_labels_csv(path: Path) -> dict[CellIndex, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0].strip() != "row,col,label":
         raise ParameterError(f"{path}: expected header 'row,col,label'")
     cells: dict[CellIndex, int] = {}
@@ -78,6 +80,8 @@ def _read_labels_csv(path: Path) -> dict[CellIndex, int]:
             raise ParameterError(f"{path} line {i}: non-integer entry") from None
         if r < 0 or c < 0 or lab < 0:
             raise ParameterError(f"{path} line {i}: negative entry")
+        if lab > np.iinfo(np.int32).max:
+            raise ParameterError(f"{path} line {i}: label {lab} does not fit in int32")
         cell = CellIndex(r, c)
         if cell in line_of:
             raise ParameterError(

@@ -12,9 +12,10 @@ On-disk dataset layout ("GTS" format):
 - optional ``elevation.csv``: ``nrows`` lines of ``ncols`` values in meters;
   ``missing_value`` applies.
 
-Loading is strict: day counts must match the declared calendar, every
-non-sentinel value must be finite, and validation errors name the offending
-year/day/cell.
+Year files and ``elevation.csv`` share one grid-CSV reader and one writer.
+Loading is strict: files must be UTF-8, field types must match, day counts
+must match the declared calendar, every non-sentinel value must be finite,
+and errors name the offending file, field or year/day/cell.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +60,12 @@ _CAL_TO_JSON = {v: k for k, v in _CAL_FROM_JSON.items()}
 # A missing-value sentinel must sit outside any plausible temperature in
 # either celsius or kelvin.
 _TEMP_RANGE = (-150.0, 400.0)
+
+_GEOMETRY_FIELDS = {
+    "mode": str, "origin_lat": float, "origin_lon": float, "cell_dlat": float,
+    "cell_dlon": float, "nrows": int, "ncols": int,
+}
+_KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object"}
 
 RESAMPLE_AREA_WEIGHTED = "area_weighted"
 RESAMPLE_NEAREST = "nearest"
@@ -102,109 +110,123 @@ class DatasetManifest:
         return tuple(f"{DATA_DIR}/{year}.csv" for year in self.years)
 
     def to_json_dict(self) -> dict:
-        g = self.geometry
         return {
             "variable": self.variable,
             "units": self.units,
             "calendar": _CAL_TO_JSON[self.calendar.kind],
-            "geometry": {
-                "mode": g.mode,
-                "origin_lat": g.origin_lat,
-                "origin_lon": g.origin_lon,
-                "cell_dlat": g.cell_dlat,
-                "cell_dlon": g.cell_dlon,
-                "nrows": g.nrows,
-                "ncols": g.ncols,
-            },
+            "geometry": {key: getattr(self.geometry, key) for key in _GEOMETRY_FIELDS},
             "missing_value": self.missing_value,
             "years": list(self.years),
         }
 
 
-def _parse_manifest_dict(doc: dict) -> DatasetManifest:
-    for key in ("variable", "units", "calendar", "geometry", "missing_value", "years"):
-        if key not in doc:
-            raise DatasetError(f"manifest missing field {key!r}")
-    cal = doc["calendar"]
+def _field(doc: dict, key: str, kind: type, where: str = ""):
+    """``doc[key]``, checked to be a JSON value of ``kind``; ints pass as floats."""
+    if key not in doc:
+        raise DatasetError(f"manifest {where}missing field {key!r}")
+    value = doc[key]
+    try:
+        if type(value) is kind or (kind is float and type(value) is int):
+            return kind(value)
+    except OverflowError:
+        pass
+    raise DatasetError(f"manifest {where}field {key!r} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _parse_manifest_dict(doc) -> DatasetManifest:
+    if type(doc) is not dict:
+        raise DatasetError("manifest must be a JSON object")
+    cal = _field(doc, "calendar", str)
     if cal not in _CAL_FROM_JSON:
         raise DatasetError(f"manifest calendar must be 'gregorian' or '360_day', got {cal!r}")
-    gdoc = doc["geometry"]
-    for key in ("mode", "origin_lat", "origin_lon", "cell_dlat", "cell_dlon", "nrows", "ncols"):
-        if key not in gdoc:
-            raise DatasetError(f"manifest geometry missing field {key!r}")
+    gdoc = _field(doc, "geometry", dict)
+    years = _field(doc, "years", list)
+    if any(type(y) is not int for y in years):
+        raise DatasetError(f"manifest field 'years' must be a list of integers, got {years!r}")
     try:
         geometry = GridGeometry(
-            mode=str(gdoc["mode"]),
-            origin_lat=float(gdoc["origin_lat"]),
-            origin_lon=float(gdoc["origin_lon"]),
-            cell_dlat=float(gdoc["cell_dlat"]),
-            cell_dlon=float(gdoc["cell_dlon"]),
-            nrows=int(gdoc["nrows"]),
-            ncols=int(gdoc["ncols"]),
+            **{key: _field(gdoc, key, kind, "geometry ") for key, kind in _GEOMETRY_FIELDS.items()}
         )
     except ParameterError as exc:
         raise DatasetError(f"manifest geometry invalid: {exc}") from exc
     return DatasetManifest(
-        variable=str(doc["variable"]),
-        units=str(doc["units"]),
+        variable=_field(doc, "variable", str),
+        units=_field(doc, "units", str),
         calendar=CalendarSpec(_CAL_FROM_JSON[cal]),
         geometry=geometry,
-        missing_value=float(doc["missing_value"]),
-        years=tuple(int(y) for y in doc["years"]),
+        missing_value=_field(doc, "missing_value", float),
+        years=tuple(years),
     )
 
 
 def load_manifest(root: str | os.PathLike) -> DatasetManifest:
     """Read and validate ``manifest.json``.  Missing file raises FileNotFoundError."""
     path = Path(root) / MANIFEST_NAME
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # invalid JSON, too deeply nested, not UTF-8
+        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
     return _parse_manifest_dict(doc)
 
 
-def _parse_day_line(line: str, ncells: int, where: str) -> np.ndarray:
-    parts = line.split(",")
-    if len(parts) != ncells:
-        raise DatasetError(f"{where}: expected {ncells} values, got {len(parts)}")
+def _read_grid_csv(
+    path: Path, nlines: int, nfields: int, count_fault: Callable, line_name: Callable
+) -> np.ndarray:
+    """Parse a CSV file of ``nlines`` lines of ``nfields`` values each.
+
+    The file is decoded as UTF-8 and converted by one ``np.array`` call,
+    which reads each token with Python's ``float()``.  Only when that call
+    fails, or the shape is wrong, are the lines walked to name the first
+    fault.  ``count_fault(got)`` and ``line_name(i)`` word the errors.
+    """
     try:
-        return np.asarray(parts, dtype=np.float64)
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
+    if len(lines) != nlines:
+        raise DatasetError(count_fault(len(lines)))
+    rows = [line.split(",") for line in lines]
+    try:
+        grid = np.array(rows, dtype=np.float64)
+        if grid.shape == (nlines, nfields):
+            return grid
     except ValueError:
-        for idx, p in enumerate(parts):
+        pass
+    for i, parts in enumerate(rows):
+        where = line_name(i)
+        if len(parts) != nfields:
+            raise DatasetError(f"{where}: expected {nfields} values, got {len(parts)}")
+        for c, p in enumerate(parts):
             try:
                 float(p)
             except ValueError:
-                raise DatasetError(f"{where}, cell {idx}: unparseable value {p.strip()!r}") from None
-        raise
+                raise DatasetError(f"{where}, cell {c}: unparseable value {p.strip()!r}") from None
+    raise DatasetError(f"{path}: unparseable values")
 
 
-def _load_year_file(path: Path, year: int, manifest: DatasetManifest) -> np.ndarray:
+def _load_year_file(root: Path, year: int, manifest: DatasetManifest) -> np.ndarray:
+    path = root / DATA_DIR / f"{year}.csv"
+    if not path.exists():
+        raise FileNotFoundError(f"missing payload file {path}")
     nrows, ncols = manifest.geometry.shape
-    ncells = nrows * ncols
     expected_days = days_in_year(manifest.calendar, year)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) != expected_days:
+    cube = _read_grid_csv(
+        path,
+        expected_days,
+        nrows * ncols,
+        lambda got: f"year {year}: {got} daily lines, calendar requires {expected_days}",
+        lambda day: f"year {year} day {day}",
+    ).reshape(expected_days, nrows, ncols)
+    missing = cube == manifest.missing_value
+    bad = ~np.isfinite(cube) & ~missing
+    if bad.any():
+        day, r, c = np.argwhere(bad)[0]
         raise DatasetError(
-            f"year {year}: {len(lines)} daily lines, calendar requires {expected_days}"
+            f"year {year} day {day} cell ({r},{c}): non-finite value that is "
+            f"not the missing_value sentinel"
         )
-    out = np.empty((expected_days, nrows, ncols), dtype=np.float64)
-    mv = manifest.missing_value
-    for day, line in enumerate(lines):
-        flat = _parse_day_line(line, ncells, f"year {year} day {day}")
-        grid = flat.reshape(nrows, ncols)
-        missing = grid == mv
-        bad = ~np.isfinite(grid) & ~missing
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise DatasetError(
-                f"year {year} day {day} cell ({r},{c}): non-finite value that is "
-                f"not the missing_value sentinel"
-            )
-        out[day] = np.where(missing, np.nan, grid)
-    return out
+    cube[missing] = np.nan
+    return cube
 
 
 def load_dataset(root: str | os.PathLike) -> DailySeriesGrid:
@@ -216,18 +238,12 @@ def load_dataset(root: str | os.PathLike) -> DailySeriesGrid:
     """
     root = Path(root)
     manifest = load_manifest(root)
-    data = {}
-    for year in manifest.years:
-        path = root / DATA_DIR / f"{year}.csv"
-        if not path.exists():
-            raise FileNotFoundError(f"missing payload file {path}")
-        data[year] = _load_year_file(path, year, manifest)
     return DailySeriesGrid(
         geometry=manifest.geometry,
         calendar=manifest.calendar,
         units=manifest.units,
         years=manifest.years,
-        data=data,
+        data={year: _load_year_file(root, year, manifest) for year in manifest.years},
         variable=manifest.variable,
         missing_value=manifest.missing_value,
     )
@@ -248,13 +264,9 @@ def validate_dataset(root: str | os.PathLike) -> list[str]:
     except DatasetError as exc:
         return [str(exc)]
     for year in manifest.years:
-        path = root / DATA_DIR / f"{year}.csv"
-        if not path.exists():
-            violations.append(f"missing payload file {path}")
-            continue
         try:
-            _load_year_file(path, year, manifest)
-        except DatasetError as exc:
+            _load_year_file(root, year, manifest)
+        except (DatasetError, FileNotFoundError) as exc:
             violations.append(str(exc))
     elev = root / ELEVATION_NAME
     if elev.exists():
@@ -265,8 +277,14 @@ def validate_dataset(root: str | os.PathLike) -> list[str]:
     return violations
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
+def _write_grid_csv(
+    path: str | os.PathLike, values: np.ndarray, missing: np.ndarray, missing_value: float
+) -> None:
+    """Write a 2-D array as CSV lines of shortest round-trip values (``repr``),
+    with the sentinel in place of ``missing`` cells."""
+    rows = np.where(missing, missing_value, values)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
 
 
 def write_dataset(
@@ -288,35 +306,20 @@ def write_dataset(
         missing_value=series.missing_value,
         years=series.years,
     )
-    root.mkdir(parents=True, exist_ok=True)
-    (root / DATA_DIR).mkdir(exist_ok=True)
+    (root / DATA_DIR).mkdir(parents=True, exist_ok=True)
     with open(root / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     mv = series.missing_value
     for year in series.years:
-        arr = series.year_values(year)
-        with open(root / DATA_DIR / f"{year}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            for day in range(arr.shape[0]):
-                flat = arr[day].ravel()
-                fh.write(",".join(
-                    _format_value(mv) if np.isnan(v) else _format_value(v) for v in flat
-                ))
-                fh.write("\n")
+        days = series.year_values(year).reshape(-1, series.geometry.ncells)
+        _write_grid_csv(root / DATA_DIR / f"{year}.csv", days, np.isnan(days), mv)
     if elevation is not None:
         write_elevation(elevation, root / ELEVATION_NAME, mv)
 
 
 def write_elevation(elevation: ScalarField, path: str | os.PathLike, missing_value: float) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in range(elevation.geometry.nrows):
-            row = [
-                _format_value(elevation.values[r, c]) if elevation.mask[r, c]
-                else _format_value(missing_value)
-                for c in range(elevation.geometry.ncols)
-            ]
-            fh.write(",".join(row))
-            fh.write("\n")
+    _write_grid_csv(path, elevation.values, ~elevation.mask, missing_value)
 
 
 def load_elevation(
@@ -324,13 +327,13 @@ def load_elevation(
 ) -> ScalarField:
     """Read an ``elevation.csv`` grid (meters) against a known geometry."""
     nrows, ncols = geometry.shape
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) != nrows:
-        raise DatasetError(f"{path}: expected {nrows} elevation lines, got {len(lines)}")
-    values = np.empty((nrows, ncols), dtype=np.float64)
-    for r, line in enumerate(lines):
-        values[r] = _parse_day_line(line, ncols, f"{path} line {r}")
+    values = _read_grid_csv(
+        Path(path),
+        nrows,
+        ncols,
+        lambda got: f"{path}: expected {nrows} elevation lines, got {got}",
+        lambda r: f"{path} line {r}",
+    )
     mask = values != missing_value
     bad = ~np.isfinite(values) & mask
     if bad.any():
@@ -406,29 +409,25 @@ def build_annual_stack(
     if not series.years:
         raise EmptyDomainError("series has no years")
     fields = tuple(annual_mean(series, y, min_valid_fraction) for y in series.years)
-    mask = np.ones(series.geometry.shape, dtype=bool)
-    for f in fields:
-        mask &= f.mask
+    mask = np.logical_and.reduce([f.mask for f in fields])
     return AnnualMeanStack(series.geometry, series.units, series.years, fields, mask)
 
 
-def _overlap_lengths(dst_edges: np.ndarray, src_edges: np.ndarray) -> np.ndarray:
-    """(ndst, nsrc) interval-overlap lengths between two edge vectors."""
+def _overlaps(dst_edges: np.ndarray, src_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ndst, nsrc) interval-overlap lengths between two edge vectors, and
+    the center of each interval pair's overlap."""
     lo = np.maximum(dst_edges[:-1, None], src_edges[None, :-1])
     hi = np.minimum(dst_edges[1:, None], src_edges[None, 1:])
-    return np.clip(hi - lo, 0.0, None)
+    return np.clip(hi - lo, 0.0, None), 0.5 * (lo + hi)
 
 
 def _lat_weights(dst_edges: np.ndarray, src_edges: np.ndarray, geographic: bool) -> np.ndarray:
     """Row-overlap weights; geographic mode scales each overlap strip by
     cos(latitude of the strip center)."""
-    ov = _overlap_lengths(dst_edges, src_edges)
+    ov, centers = _overlaps(dst_edges, src_edges)
     if not geographic:
         return ov
-    lo = np.maximum(dst_edges[:-1, None], src_edges[None, :-1])
-    hi = np.minimum(dst_edges[1:, None], src_edges[None, 1:])
-    centers = np.where(ov > 0, 0.5 * (lo + hi), 0.0)
-    return ov * np.maximum(np.cos(np.radians(centers)), 0.0)
+    return ov * np.maximum(np.cos(np.radians(np.where(ov > 0, centers, 0.0))), 0.0)
 
 
 def resample(field: ScalarField, target: GridGeometry, method: str = RESAMPLE_AREA_WEIGHTED) -> ScalarField:
@@ -481,7 +480,7 @@ def _resample_area_weighted(field: ScalarField, target: GridGeometry) -> ScalarF
     src = field.geometry
     geographic = src.mode == GEOGRAPHIC
     w_lat = _lat_weights(target.lat_edges(), src.lat_edges(), geographic)  # (Rt, Rs)
-    w_lon = _overlap_lengths(target.lon_edges(), src.lon_edges())  # (Ct, Cs)
+    w_lon = _overlaps(target.lon_edges(), src.lon_edges())[0]  # (Ct, Cs)
 
     valid = field.mask.astype(np.float64)
     vals = np.where(field.mask, field.values, 0.0)

@@ -228,7 +228,8 @@ def run_kmeans(
     """One deterministic Lloyd run from a k-means++ initialization.
 
     Assignment ties go to the lowest cluster id.  An iteration that leaves a
-    cluster empty reassigns the point farthest from its own centroid to it.
+    cluster empty reassigns to it the point farthest from its own centroid
+    among clusters that keep at least one other member, so no cluster empties.
     Inertia is verified non-increasing on every iteration; an increase
     raises :class:`InternalError`.
 
@@ -290,12 +291,12 @@ def run_kmeans(
         inertia = float(own.sum())
 
         counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            for j in np.flatnonzero(counts == 0):
-                far = int(np.argmax(own))
-                labels[far] = j
-                own[far] = -np.inf
-                lower[far] = -np.inf
+        for j in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[labels] > 1, own, -np.inf)))
+            counts[labels[far]] -= 1
+            counts[j] = 1
+            labels[far] = j
+            lower[far] = -np.inf
 
         if history and inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
             raise InternalError(

@@ -50,6 +50,45 @@ class TestValidate:
     def test_missing_manifest_exits_three(self, tmp_path):
         assert run("validate", "--dataset", tmp_path / "nope") == 3
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("nrows", "x", "'nrows' must be an integer"),
+            ("years", ["abc"], "'years' must be a list of integers"),
+            ("geometry", 5, "'geometry' must be an object"),
+            ("missing_value", "-999", "'missing_value' must be a number"),
+            ("cell_dlat", None, "'cell_dlat' must be a number"),
+        ],
+    )
+    def test_manifest_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, value, named):
+        doc = manifest_doc()
+        (doc if field in doc else doc["geometry"])[field] = value
+        write_gts(tmp_path, doc, {1995: constant_lines(360, 4)})
+        assert run("validate", "--dataset", tmp_path) == 2
+        assert named in capsys.readouterr().out
+        assert run("kmeans", "--dataset", tmp_path, "--out", tmp_path / "out") == 2
+        assert named in capsys.readouterr().err
+
+    def test_manifest_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        write_gts(tmp_path, [manifest_doc()], {1995: constant_lines(360, 4)})
+        assert run("validate", "--dataset", tmp_path) == 2
+        assert "manifest must be a JSON object" in capsys.readouterr().out
+
+    def test_deeply_nested_manifest_exits_two(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert run("validate", "--dataset", tmp_path) == 2
+        assert "manifest.json: invalid JSON" in capsys.readouterr().out
+
+    def test_non_utf8_year_file_exits_two(self, tmp_path, capsys):
+        write_gts(tmp_path, manifest_doc(), {1995: constant_lines(360, 4)})
+        payload = tmp_path / "data" / "1995.csv"
+        payload.write_bytes(b"\xff\xfe" + payload.read_bytes())
+        assert run("validate", "--dataset", tmp_path) == 2
+        out = capsys.readouterr().out
+        assert "1 violation(s)" in out and f"{payload}: not UTF-8 text" in out
+        assert run("kmeans", "--dataset", tmp_path, "--out", tmp_path / "out") == 2
+        assert f"{payload}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestKmeansCommand:
     def test_sweep_outputs(self, km_out):
@@ -233,6 +272,20 @@ class TestCompareCommand:
         assert run("compare", a, b, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert str(a) in err and str(b) in err
+
+    @pytest.mark.parametrize("command", ["render", "compare"])
+    def test_non_utf8_labels_exit_two(self, mi_out, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xferow,col,label\n0,0,1\n")
+        others = [] if command == "render" else [mi_out / "consensus.csv"]
+        assert run(command, bad, *others, "--out", tmp_path / "out") == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_label_beyond_int32_exits_two(self, tmp_path, capsys):
+        labels = tmp_path / "big.csv"
+        labels.write_text("row,col,label\n0,0,2147483648\n")
+        assert run("render", labels, "--out", tmp_path / "out") == 2
+        assert "line 2: label 2147483648 does not fit in int32" in capsys.readouterr().err
 
     def test_duplicate_cell_exits_two(self, mi_out, tmp_path, capsys):
         dup = tmp_path / "dup.csv"

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -129,6 +130,22 @@ class TestRunKmeans:
         run = run_kmeans(feats, 3, seed=0)
         present = run.labels[run.labels >= 0]
         assert sorted(set(present.tolist())) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "values, k, seed",
+        [([0, -1, -2, 1, -2, -1, 0, 0, -2, 2, 1], 11, 9), ([0, 0, 0, 1, 1], 5, 0)],
+    )
+    def test_empty_cluster_repair_never_empties_a_singleton(self, values, k, seed):
+        # Moving the only member of a cluster used to leave a NaN centroid,
+        # and the run alternated between inertia 0 and NaN until max_iter.
+        feats = FeatureMatrix.from_matrix(np.array(values, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run = run_kmeans(feats, k, seed=seed)
+        assert run.converged_by == "stable"
+        assert np.isfinite(run.inertia)
+        assert np.all(np.isfinite(run.inertia_history))
+        assert np.all(np.isfinite(run.centroids))
 
     def test_monotone_inertia_and_stable_convergence(self):
         rng = np.random.default_rng(42)

@@ -62,12 +62,15 @@ def oracle_run_kmeans(features, k, seed=0, max_iter=300, tol=0.0):
         inertia = float(own.sum())
 
         counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            own = own.copy()
-            for j in np.flatnonzero(counts == 0):
-                far = int(np.argmax(own))
-                labels[far] = j
-                own[far] = -np.inf
+        for j in np.flatnonzero(counts == 0):
+            # The farthest point among clusters that keep another member.
+            far = None
+            for i in range(n):
+                if counts[labels[i]] >= 2 and (far is None or own[i] > own[far]):
+                    far = i
+            counts[labels[far]] -= 1
+            counts[j] += 1
+            labels[far] = j
 
         if history and inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
             raise InternalError(
@@ -211,3 +214,11 @@ def test_exact_tie_at_the_bound_is_not_pruned():
     # own distance, and the tie must go to cluster 0.
     features = FeatureMatrix.from_matrix([-2.0, -1.0, 0.0, 0.5, 0.5, 2.0])
     assert_matches_oracle(features, 2, seed=18)
+
+
+@pytest.mark.parametrize(
+    "values, k, seed",
+    [([0, -1, -2, 1, -2, -1, 0, 0, -2, 2, 1], 11, 9), ([0, 0, 0, 1, 1], 5, 0)],
+)
+def test_empty_cluster_repair_matches_the_unpruned_loop(values, k, seed):
+    assert_matches_oracle(FeatureMatrix.from_matrix(np.array(values, float)), k, seed=seed)
