@@ -61,19 +61,20 @@ def contingency(map_a: ZoneMap, map_b: ZoneMap) -> ContingencyTable:
     joint = (la >= 0) & (lb >= 0)
     only_a = int(((la >= 0) & ~joint).sum())
     only_b = int(((lb >= 0) & ~joint).sum())
-    a = la[joint]
-    b = lb[joint]
-    labels_a = tuple(int(v) for v in np.unique(a))
-    labels_b = tuple(int(v) for v in np.unique(b))
-    if not labels_a or not labels_b:
+    labels_a, index_a = np.unique(la[joint], return_inverse=True)
+    labels_b, index_b = np.unique(lb[joint], return_inverse=True)
+    shape = (labels_a.size, labels_b.size)
+    if not joint.any():
         warnings.warn("no jointly labeled cells; contingency table is empty")
-        return ContingencyTable(labels_a, labels_b, np.zeros((len(labels_a), len(labels_b)), np.int64), 0, only_a, only_b)
-    index_a = {v: i for i, v in enumerate(labels_a)}
-    index_b = {v: i for i, v in enumerate(labels_b)}
-    counts = np.zeros((len(labels_a), len(labels_b)), dtype=np.int64)
-    for va, vb in zip(a, b):
-        counts[index_a[int(va)], index_b[int(vb)]] += 1
-    return ContingencyTable(labels_a, labels_b, counts, int(joint.sum()), only_a, only_b)
+    counts = np.bincount(index_a * shape[1] + index_b, minlength=shape[0] * shape[1])
+    return ContingencyTable(
+        tuple(labels_a.tolist()),
+        tuple(labels_b.tolist()),
+        counts.reshape(shape),
+        int(joint.sum()),
+        only_a,
+        only_b,
+    )
 
 
 def adjusted_rand(table: ContingencyTable) -> float:

@@ -2,10 +2,12 @@
 
 The pipeline runs in five stages over a stack of annual fields:
 
-1. per-year focus points: strict local extrema over the 8-connected
-   neighborhood (equal-valued plateaus are canonicalized to their
-   lexicographically smallest cell);
-2. per-year zones: priority-flood watershed growth from the focus points;
+1. per-year focus points: one rule over the 8-connected neighborhood.
+   Every 8-connected component of equal-valued cells, of any size, with no
+   more extreme neighbor yields one focus at its lexicographically smallest
+   cell; a strict extremum is the one-cell case;
+2. per-year zones: priority-flood watershed growth from the focus points,
+   queueing flat indices of a grid padded by one closed cell;
 3. recurrence mining: counting, per exact cell, how many years produced a
    focus there, with a frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
@@ -55,7 +57,7 @@ DEFAULT_THETA_DOM = 12.0 / 31.0
 
 @dataclass(frozen=True)
 class FocusPoint:
-    """A strict local extremum (or plateau representative) in one year."""
+    """The representative cell of one equal-valued local extremum in one year."""
 
     cell: CellIndex
     year: int
@@ -134,81 +136,66 @@ def _check_orientation(orientation: str) -> bool:
     return orientation == ORIENT_MAXIMA
 
 
-def _neighbor_envelope(values: np.ndarray, mask: np.ndarray, maxima: bool) -> np.ndarray:
-    """Per-cell extreme (max for maxima, min for minima) over unmasked neighbors.
+def _padded_keys(field: ScalarField, orientation: str) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """The field as flat row-major keys on a grid padded by one closed cell.
 
-    Cells with no unmasked neighbor get -inf (maxima) / +inf (minima).
+    A key is the value, negated under maxima, so a smaller key is more
+    extreme in both orientations; masked and padding cells hold ``+inf``.
+    Returns the keys, the padded row width and the eight flat neighbor
+    offsets.  Padding keeps every neighbor of a grid
+    cell in range, and a flat index orders exactly like ``(row, col)``.
     """
-    fill = -np.inf if maxima else np.inf
-    padded = np.full((values.shape[0] + 2, values.shape[1] + 2), fill)
-    padded[1:-1, 1:-1] = np.where(mask, values, fill)
-    env = np.full(values.shape, fill)
-    for dr, dc in NEIGHBOR_OFFSETS:
-        shifted = padded[1 + dr : padded.shape[0] - 1 + dr, 1 + dc : padded.shape[1] - 1 + dc]
-        env = np.maximum(env, shifted) if maxima else np.minimum(env, shifted)
-    return env
+    sign = -1.0 if _check_orientation(orientation) else 1.0
+    nrows, ncols = field.geometry.shape
+    width = ncols + 2
+    keys = np.full((nrows + 2, width), np.inf)
+    keys[1:-1, 1:-1] = np.where(field.mask, sign * field.values, np.inf)
+    offsets = tuple(dr * width + dc for dr, dc in NEIGHBOR_OFFSETS)
+    return keys.ravel(), width, offsets
 
 
 def detect_focus_points(
     field: ScalarField, orientation: str, year: int = 0
 ) -> list[FocusPoint]:
-    """Strict local extrema of a field over unmasked 8-neighborhoods.
+    """Local extrema of a field over unmasked 8-neighborhoods.
 
-    An equal-valued 8-connected plateau whose entire unmasked boundary is on
-    the wrong side emits exactly one focus at its lexicographically smallest
-    cell; a plateau spanning every unmasked cell emits none.  Results are
-    ordered by (row, col).
+    Every 8-connected component of equal-valued unmasked cells (a strict
+    extremum is the one-cell case) whose unmasked neighbors are all on the
+    wrong side emits one focus at its lexicographically smallest cell; a
+    component spanning every unmasked cell emits none.  Results are ordered
+    by (row, col).
     """
-    maxima = _check_orientation(orientation)
-    mask = field.mask
-    total_valid = int(mask.sum())
+    keys, width, offsets = _padded_keys(field, orientation)
+    valid = keys < np.inf
+    total_valid = int(valid.sum())
     if total_valid == 0:
         raise EmptyDomainError("field is fully masked")
-    values = field.values
-    env = _neighbor_envelope(values, mask, maxima)
 
-    foci: list[FocusPoint] = []
-    if total_valid == 1:
-        # A single unmasked cell is a plateau spanning the whole domain.
-        return foci
+    # beaten[p]: some neighbor of p is more extreme.  Equal-key neighbor
+    # pairs (never a valid cell with a closed one) join into components.
+    n = keys.size
+    beaten = np.zeros(n, dtype=bool)
+    heads, tails = [], []
+    for off in (o for o in offsets if o > 0):
+        head, tail = keys[:-off], keys[off:]
+        beaten[:-off] |= tail < head
+        beaten[off:] |= head < tail
+        tie = np.flatnonzero(head == tail)
+        heads.append(tie)
+        tails.append(tie + off)
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    graph = coo_matrix((np.ones(heads.size), (heads, tails)), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    _, first, size = np.unique(component, return_index=True, return_counts=True)
+    blocked = np.bincount(component, weights=beaten) > 0
+    emit = np.sort(first[valid[first] & ~blocked & (size < total_valid)])
 
-    strict = mask & ((values > env) if maxima else (values < env))
-    plateau_seed = mask & (values == env)
-
-    nrows, ncols = values.shape
-    visited = np.zeros_like(mask, dtype=bool)
-    for r in range(nrows):
-        for c in range(ncols):
-            if strict[r, c]:
-                foci.append(FocusPoint(CellIndex(r, c), year, float(values[r, c])))
-                continue
-            if not plateau_seed[r, c] or visited[r, c]:
-                continue
-            # Flood the equal-valued component and test its whole boundary.
-            v0 = values[r, c]
-            comp = [(r, c)]
-            stack = [(r, c)]
-            visited[r, c] = True
-            ok = True
-            while stack:
-                cr, cc = stack.pop()
-                for dr, dc in NEIGHBOR_OFFSETS:
-                    nr, nc = cr + dr, cc + dc
-                    if not (0 <= nr < nrows and 0 <= nc < ncols) or not mask[nr, nc]:
-                        continue
-                    nv = values[nr, nc]
-                    if nv == v0:
-                        if not visited[nr, nc]:
-                            visited[nr, nc] = True
-                            comp.append((nr, nc))
-                            stack.append((nr, nc))
-                    elif (maxima and nv > v0) or (not maxima and nv < v0):
-                        ok = False
-            if ok and len(comp) < total_valid:
-                rr, cc2 = min(comp)
-                foci.append(FocusPoint(CellIndex(rr, cc2), year, float(v0)))
-    foci.sort(key=lambda f: f.cell)
-    return foci
+    rows, cols = np.divmod(emit, width)
+    rows, cols = (rows - 1).tolist(), (cols - 1).tolist()
+    values = field.values[rows, cols].tolist()
+    return [
+        FocusPoint(CellIndex(r, c), year, v) for r, c, v in zip(rows, cols, values)
+    ]
 
 
 def watershed_zones(
@@ -216,50 +203,50 @@ def watershed_zones(
 ) -> ZoneMap:
     """Priority-flood region growing from focus seeds.
 
-    Queue entries are ``(value, row, col)`` with the extremal value popped
-    first (largest under maxima orientation), ties broken by smaller
-    (row, col).  When a cell is popped, each of its unmasked 8-neighbors not
-    yet labeled takes the popped cell's label and is enqueued, so a cell
-    carries the label of the zone that first reaches it.  This equals
-    labelling each cell at its first pop with ties broken by earlier
-    insertion: all entries a cell could get share one key, so the earliest
-    would pop first.  Unmasked cells unreachable from every focus stay
-    unlabeled.
+    Queue entries are ``(key, flat index)`` on the padded key grid of
+    :func:`_padded_keys`, so the extremal value pops first (largest under
+    maxima orientation), ties broken by smaller (row, col).  When a cell is
+    popped, each of its unmasked 8-neighbors not yet labeled takes the
+    popped cell's label and is enqueued, so a cell carries the label of the
+    zone that first reaches it.  This equals labelling each cell at its
+    first pop with ties broken by earlier insertion: all entries a cell
+    could get share one key, so the earliest would pop first.  Unmasked
+    cells unreachable from every focus stay unlabeled.
     """
-    maxima = _check_orientation(orientation)
+    keys, width, offsets = _padded_keys(field, orientation)
     if not foci:
         raise ParameterError("watershed requires at least one focus")
     geom = field.geometry
-    mask = field.mask
-    values = field.values
-    sign = -1.0 if maxima else 1.0
 
-    labels = np.full(geom.shape, -1, dtype=np.int32)
+    # -1: open and unlabeled; -2: closed (masked or padding).
+    labels = np.where(keys < np.inf, -1, -2).tolist()
+    key_of = keys.tolist()
     anchors: dict[int, CellIndex] = {}
-    heap: list[tuple[float, int, int]] = []
+    heap: list[tuple[float, int]] = []
     for i, fp in enumerate(foci):
         r, c = fp.cell
         if not geom.contains(r, c):
             raise ParameterError(f"focus {fp.cell} outside the grid")
-        if not mask[r, c]:
+        p = int((r + 1) * width + c + 1)
+        if labels[p] == -2:
             raise ParameterError(f"focus {fp.cell} lies on a masked cell")
-        if labels[r, c] != -1:
+        if labels[p] != -1:
             raise ParameterError(f"duplicate focus cell {fp.cell}")
-        labels[r, c] = i
+        labels[p] = i
         anchors[i] = CellIndex(r, c)
-        heap.append((sign * values[r, c], r, c))
+        heap.append((key_of[p], p))
     heapq.heapify(heap)
 
-    nrows, ncols = geom.shape
     while heap:
-        _, r, c = heapq.heappop(heap)
-        lab = labels[r, c]
-        for dr, dc in NEIGHBOR_OFFSETS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < nrows and 0 <= nc < ncols and mask[nr, nc] and labels[nr, nc] == -1:
-                labels[nr, nc] = lab
-                heapq.heappush(heap, (sign * values[nr, nc], nr, nc))
-    return ZoneMap(geom, labels, anchors)
+        _, p = heapq.heappop(heap)
+        lab = labels[p]
+        for off in offsets:
+            q = p + off
+            if labels[q] == -1:
+                labels[q] = lab
+                heapq.heappush(heap, (key_of[q], q))
+    grid = np.array(labels, dtype=np.int32).reshape(-1, width)[1:-1, 1:-1]
+    return ZoneMap(geom, np.maximum(grid, -1), anchors)
 
 
 def mine_frequent_foci(

@@ -42,16 +42,12 @@ def zone_map_svg(zone_map: ZoneMap, cell_px: int = 12) -> str:
         f'<rect width="{width}" height="{height}" fill="{UNLABELED_FILL}"/>\n',
     ]
     labels = zone_map.labels
-    for r in range(nrows):
-        y = (nrows - 1 - r) * cell_px
-        for c in range(ncols):
-            lab = int(labels[r, c])
-            if lab < 0:
-                continue
-            parts.append(
-                f'<rect x="{c * cell_px}" y="{y}" width="{cell_px}" '
-                f'height="{cell_px}" fill="{color_for(lab)}"/>\n'
-            )
+    rows, cols = np.nonzero(labels >= 0)  # row-major order
+    for r, c, lab in zip(rows.tolist(), cols.tolist(), labels[rows, cols].tolist()):
+        parts.append(
+            f'<rect x="{c * cell_px}" y="{(nrows - 1 - r) * cell_px}" width="{cell_px}" '
+            f'height="{cell_px}" fill="{color_for(lab)}"/>\n'
+        )
     parts.append("</svg>\n")
     return "".join(parts)
 

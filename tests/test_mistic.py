@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridclust.errors import EmptyDomainError, ParameterError
 from gridclust.gridcore import CELSIUS, CellIndex, ZoneMap, neighbors8
@@ -21,6 +24,18 @@ from gridclust.mistic import (
 from gridclust.synth import make_planted_stack
 
 from conftest import brute_force_foci, make_field, planar_geom
+
+
+@st.composite
+def tie_heavy_fields(draw):
+    """1x1 to 9x9 fields of four values, -0.0 beside 0.0, NaN under a random
+    mask that leaves at least one cell."""
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    codes = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3)))
+    mask = draw(hnp.arrays(np.bool_, shape, elements=st.sampled_from([True, True, True, False])))
+    assume(mask.any())
+    values = np.array([-1.0, -0.0, 0.0, 1.0])[codes]
+    return make_field(np.where(mask, values, np.nan), mask=mask)
 
 
 def two_bump_field():
@@ -71,17 +86,18 @@ class TestDetectFocusPoints:
         with pytest.raises(EmptyDomainError):
             detect_focus_points(f, "maxima")
 
-    def test_matches_brute_force_oracle_on_random_fields(self):
-        rng = np.random.default_rng(21)
-        for i in range(25):
-            values = np.round(rng.random((7, 8)) * 8) / 2.0  # plenty of ties
-            mask = rng.random((7, 8)) > 0.15
-            if not mask.any():
-                continue
-            f = make_field(values, mask=mask)
-            for orientation in ("maxima", "minima"):
-                got = [tuple(fp.cell) for fp in detect_focus_points(f, orientation)]
-                assert got == brute_force_foci(f, orientation), f"case {i} {orientation}"
+    @given(
+        field=tie_heavy_fields(),
+        orientation=st.sampled_from(["maxima", "minima"]),
+        year=st.integers(1900, 2100),
+    )
+    def test_matches_brute_force_oracle_on_random_fields(self, field, orientation, year):
+        foci = detect_focus_points(field, orientation, year=year)
+        assert [tuple(fp.cell) for fp in foci] == brute_force_foci(field, orientation)
+        for fp in foci:
+            assert fp.year == year
+            # repr tells -0.0 from 0.0: the value is the one at the focus cell.
+            assert repr(fp.value) == repr(float(field.values[fp.cell]))
 
 
 class TestWatershed:
