@@ -1,9 +1,16 @@
 """Command-line pipeline: validate, kmeans, mistic, compare, render.
 
 Exit codes: 0 success, 2 validation/parameter failure, 3 I/O failure.
-Every command writes a ``run_meta.json`` beside its outputs recording the
-full parameter set, tool version, and SHA-256 hashes of the inputs; all
-CSV/JSON outputs are byte-identical across reruns with identical inputs.
+Every writing command computes all of its outputs before it writes any, then
+writes them with a ``run_meta.json`` beside them.  That file records every
+parsed argument except ``--out`` (``--k`` as the parsed list and
+``--orientation`` as resolved), the tool version, the SHA-256 hashes of the
+inputs and the names of the outputs; all CSV/JSON outputs are byte-identical
+across reruns with identical inputs.
+
+Label CSVs are read into arrays of cells and labels.  ``compare`` and
+``render`` without ``--dataset`` never build a grid sized by the largest row
+or column in them, so their memory grows with the number of labelled cells.
 """
 
 from __future__ import annotations
@@ -17,38 +24,79 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import adjusted_rand, cluster_summary, contingency, matched_jaccard
+from .analysis import cluster_summary, compare_maps
 from .errors import GridClustError, ParameterError
-from .gridcore import PLANAR, CellIndex, GridGeometry, ZoneMap, slope_field
+from .gridcore import PLANAR, GridGeometry, ZoneMap, slope_field
 from .ingest import (
+    DATA_DIR,
     ELEVATION_NAME,
     MANIFEST_NAME,
     build_annual_stack,
     load_dataset,
     load_elevation,
-    load_manifest,
     validate_dataset,
 )
 from .kmeans import build_features, sweep_k
 from .mistic import MisticParams, run_mistic
-from .render import scatter_svg, zone_map_svg
+from .render import cells_svg, scatter_svg, zone_map_svg
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 # ---------------------------------------------------------------------------
-# deterministic file helpers
+# inputs and outputs
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: Path, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_outputs(
+    args, files: dict[str, str], inputs: dict[str, str], notices=(), **resolved
+) -> None:
+    """Write ``files`` (name -> text) into ``--out``, then ``run_meta.json``.
+
+    Its ``parameters`` are the parsed arguments except the command and
+    ``--out``, with the values the command resolved (``resolved``) in place
+    of the raw ones.
+    """
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    parameters.update(resolved)
+    meta = {
+        "command": args.command,
+        "version": __version__,
+        "parameters": parameters,
+        "inputs": inputs,
+        "outputs": sorted(files),
+        "notices": list(notices),
+    }
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in {**files, "run_meta.json": _json_text(meta)}.items():
+        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def _load(args):
+    """Series, annual stack and input hashes of ``--dataset``.
+
+    The hashes cover the manifest, every year file and ``elevation.csv``
+    when the dataset has one.
+    """
+    root = Path(args.dataset)
+    series = load_dataset(root)
+    stack = build_annual_stack(series, args.min_valid_fraction)
+    paths = [root / MANIFEST_NAME] + [root / DATA_DIR / f"{y}.csv" for y in series.years]
+    if (root / ELEVATION_NAME).exists():
+        paths.append(root / ELEVATION_NAME)
+    return series, stack, {str(p): _sha256(p) for p in paths}
 
 
 def _labels_csv(labels: np.ndarray) -> str:
@@ -59,15 +107,16 @@ def _labels_csv(labels: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_labels_csv(path: Path) -> dict[CellIndex, int]:
+def _read_labels_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 2) int64 cells and the int32 labels of a labels CSV, in file order."""
     try:
         lines = path.read_bytes().decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0].strip() != "row,col,label":
         raise ParameterError(f"{path}: expected header 'row,col,label'")
-    cells: dict[CellIndex, int] = {}
-    line_of: dict[CellIndex, int] = {}
+    line_of: dict[tuple[int, int], int] = {}
+    labels: list[int] = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -80,60 +129,27 @@ def _read_labels_csv(path: Path) -> dict[CellIndex, int]:
             raise ParameterError(f"{path} line {i}: non-integer entry") from None
         if r < 0 or c < 0 or lab < 0:
             raise ParameterError(f"{path} line {i}: negative entry")
-        if lab > np.iinfo(np.int32).max:
-            raise ParameterError(f"{path} line {i}: label {lab} does not fit in int32")
-        cell = CellIndex(r, c)
-        if cell in line_of:
+        for name, value in (("row", r), ("col", c), ("label", lab)):
+            if value > _INT32_MAX:
+                raise ParameterError(f"{path} line {i}: {name} {value} does not fit in int32")
+        if (r, c) in line_of:
             raise ParameterError(
-                f"{path} line {i}: cell ({r}, {c}) already labeled on line {line_of[cell]}"
+                f"{path} line {i}: cell ({r}, {c}) already labeled on line {line_of[r, c]}"
             )
-        line_of[cell] = i
-        cells[cell] = lab
-    return cells
+        line_of[r, c] = i
+        labels.append(lab)
+    cells = np.array(list(line_of), dtype=np.int64).reshape(-1, 2)
+    return cells, np.array(labels, dtype=np.int32)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _dataset_input_hashes(root: Path) -> dict[str, str]:
-    hashes = {}
-    manifest_path = root / MANIFEST_NAME
-    hashes[str(manifest_path)] = _sha256(manifest_path)
-    manifest = load_manifest(root)
-    for rel in manifest.payload_files:
-        p = root / rel
-        if p.exists():
-            hashes[str(p)] = _sha256(p)
-    elev = root / ELEVATION_NAME
-    if elev.exists():
-        hashes[str(elev)] = _sha256(elev)
-    return hashes
-
-
-def _write_run_meta(
-    out_dir: Path,
-    command: str,
-    parameters: dict,
-    inputs: dict[str, str],
-    outputs: list[str],
-    notices: list[str] | None = None,
-) -> None:
-    _write_json(
-        out_dir / "run_meta.json",
-        {
-            "command": command,
-            "version": __version__,
-            "parameters": parameters,
-            "inputs": inputs,
-            "outputs": sorted(outputs),
-            "notices": list(notices or []),
-        },
-    )
+def _zone_map(geometry: GridGeometry, cells: np.ndarray, labels: np.ndarray) -> ZoneMap:
+    outside = np.flatnonzero((cells >= geometry.shape).any(axis=1))
+    if outside.size:
+        cell = tuple(cells[outside[0]].tolist())
+        raise ParameterError(f"label cell {cell} outside the dataset grid {geometry.shape}")
+    grid = np.full(geometry.shape, -1, dtype=np.int32)
+    grid[cells[:, 0], cells[:, 1]] = labels
+    return ZoneMap(geometry, grid, {})
 
 
 def foci_doc(table) -> dict:
@@ -210,23 +226,17 @@ def _parse_k_list(text: str) -> list[int]:
 
 
 def _cmd_kmeans(args) -> int:
-    out_dir = Path(args.out)
     ks = _parse_k_list(args.k)
-    series = load_dataset(args.dataset)
-    stack = build_annual_stack(series, args.min_valid_fraction)
+    series, stack, inputs = _load(args)
     features = build_features(stack, standardize=True)
     results = sweep_k(features, ks, seed=args.seed, restarts=args.restarts)
 
-    outputs = []
-    report = {"variable": series.variable, "years": list(stack.years), "runs": []}
+    files = {}
+    runs = []
     for run in results:
-        name = f"labels_k{run.k}.csv"
-        _write_text(out_dir / name, _labels_csv(run.labels))
-        outputs.append(name)
-        svg_name = f"map_k{run.k}.svg"
-        _write_text(out_dir / svg_name, zone_map_svg(run.zone_map(), args.cell_px))
-        outputs.append(svg_name)
-        report["runs"].append(
+        files[f"labels_k{run.k}.csv"] = _labels_csv(run.labels)
+        files[f"map_k{run.k}.svg"] = zone_map_svg(run.zone_map(), args.cell_px)
+        runs.append(
             {
                 "k": run.k,
                 "inertia": run.inertia,
@@ -236,23 +246,9 @@ def _cmd_kmeans(args) -> int:
                 "cells": int((run.labels >= 0).sum()),
             }
         )
-    _write_json(out_dir / "kmeans_report.json", report)
-    outputs.append("kmeans_report.json")
-
-    _write_run_meta(
-        out_dir,
-        "kmeans",
-        {
-            "dataset": str(args.dataset),
-            "k": ks,
-            "seed": args.seed,
-            "restarts": args.restarts,
-            "min_valid_fraction": args.min_valid_fraction,
-            "cell_px": args.cell_px,
-        },
-        _dataset_input_hashes(Path(args.dataset)),
-        outputs,
-    )
+    report = {"variable": series.variable, "years": list(stack.years), "runs": runs}
+    files["kmeans_report.json"] = _json_text(report)
+    _write_outputs(args, files, inputs, k=ks)
     for run in results:
         print(f"k={run.k}: inertia={run.inertia:.6g} iterations={run.iterations}")
     return EXIT_OK
@@ -265,9 +261,7 @@ def _resolve_orientation(orientation: str, variable: str) -> str:
 
 
 def _cmd_mistic(args) -> int:
-    out_dir = Path(args.out)
-    series = load_dataset(args.dataset)
-    stack = build_annual_stack(series, args.min_valid_fraction)
+    series, stack, inputs = _load(args)
     orientation = _resolve_orientation(args.orientation, series.variable)
     params = MisticParams(
         orientation=orientation,
@@ -279,43 +273,17 @@ def _cmd_mistic(args) -> int:
     )
     result = run_mistic(stack, params)
 
-    outputs = []
-    for year in result.years:
-        name = f"zones_{year}.csv"
-        _write_text(out_dir / name, _labels_csv(result.yearly_zones[year].labels))
-        outputs.append(name)
-
-    _write_json(out_dir / "foci.json", foci_doc(result.table))
-    outputs.append("foci.json")
-    _write_json(
-        out_dir / "cores.json",
-        cores_doc(result.cores, result.table, result.theta_high, result.theta_dom),
+    files = {
+        f"zones_{year}.csv": _labels_csv(result.yearly_zones[year].labels)
+        for year in result.years
+    }
+    files["foci.json"] = _json_text(foci_doc(result.table))
+    files["cores.json"] = _json_text(
+        cores_doc(result.cores, result.table, result.theta_high, result.theta_dom)
     )
-    outputs.append("cores.json")
-
-    _write_text(out_dir / "consensus.csv", _labels_csv(result.consensus.labels))
-    outputs.append("consensus.csv")
-    _write_text(out_dir / "map_consensus.svg", zone_map_svg(result.consensus, args.cell_px))
-    outputs.append("map_consensus.svg")
-
-    _write_run_meta(
-        out_dir,
-        "mistic",
-        {
-            "dataset": str(args.dataset),
-            "orientation": orientation,
-            "min_years": args.min_years,
-            "mode": args.mode,
-            "radius": args.radius,
-            "theta_high": args.theta_high,
-            "theta_dom": args.theta_dom,
-            "min_valid_fraction": args.min_valid_fraction,
-            "cell_px": args.cell_px,
-        },
-        _dataset_input_hashes(Path(args.dataset)),
-        outputs,
-        notices=list(result.notices),
-    )
+    files["consensus.csv"] = _labels_csv(result.consensus.labels)
+    files["map_consensus.svg"] = zone_map_svg(result.consensus, args.cell_px)
+    _write_outputs(args, files, inputs, result.notices, orientation=orientation)
     for notice in result.notices:
         print(f"notice: {notice}")
     if not result.cores:
@@ -327,17 +295,6 @@ def _cmd_mistic(args) -> int:
         breakdown = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{len(result.cores)} cores ({breakdown}); consensus written")
     return EXIT_OK
-
-
-def _zone_map_from_cells(cells: dict[CellIndex, int], geometry: GridGeometry) -> ZoneMap:
-    labels = np.full(geometry.shape, -1, dtype=np.int32)
-    for cell, lab in cells.items():
-        if not geometry.contains(cell.row, cell.col):
-            raise ParameterError(
-                f"label cell {tuple(cell)} outside the dataset grid {geometry.shape}"
-            )
-        labels[cell.row, cell.col] = lab
-    return ZoneMap(geometry, labels, {})
 
 
 def _summary_doc(report) -> dict:
@@ -361,42 +318,45 @@ def _summary_doc(report) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    out_dir = Path(args.out)
-    cells_a = _read_labels_csv(Path(args.labels_a))
-    cells_b = _read_labels_csv(Path(args.labels_b))
+    cells_a, labels_a = _read_labels_csv(Path(args.labels_a))
+    cells_b, labels_b = _read_labels_csv(Path(args.labels_b))
+    inputs = {name: _sha256(Path(name)) for name in (args.labels_a, args.labels_b)}
 
-    stack = None
-    elevation = None
-    slope = None
+    stack = elevation = slope = None
     if args.dataset:
-        series = load_dataset(args.dataset)
-        stack = build_annual_stack(series, args.min_valid_fraction)
+        series, stack, dataset_inputs = _load(args)
+        inputs.update(dataset_inputs)
         geometry = series.geometry
         elev_path = Path(args.elevation) if args.elevation else Path(args.dataset) / ELEVATION_NAME
         if elev_path.exists():
             elevation = load_elevation(elev_path, geometry, series.missing_value)
             slope = slope_field(elevation)
+        if args.elevation:
+            inputs[args.elevation] = _sha256(Path(args.elevation))
     elif args.elevation:
         raise ParameterError("--elevation requires --dataset (grid geometry is unknown otherwise)")
     else:
-        all_cells = list(cells_a) + list(cells_b)
-        if not all_cells:
+        if not len(cells_a) + len(cells_b):
             raise ParameterError(
                 f"{args.labels_a} and {args.labels_b} label no cells, so the grid "
                 "size is unknown; pass --dataset"
             )
-        nrows = max(c.row for c in all_cells) + 1
-        ncols = max(c.col for c in all_cells) + 1
-        geometry = GridGeometry(PLANAR, 0.0, 0.0, 1.0, 1.0, nrows, ncols)
+        # Without a dataset the scores and summaries depend only on each
+        # cell's pair of labels, so the labelled cells are laid on one row.
+        union, index = np.unique(
+            np.concatenate([cells_a, cells_b]), axis=0, return_inverse=True
+        )
+        geometry = GridGeometry(PLANAR, 0.0, 0.0, 1.0, 1.0, 1, len(union))
+        index = index.ravel()
+        cells = np.column_stack([np.zeros_like(index), index])
+        cells_a, cells_b = cells[: len(cells_a)], cells[len(cells_a) :]
 
-    map_a = _zone_map_from_cells(cells_a, geometry)
-    map_b = _zone_map_from_cells(cells_b, geometry)
-    table = contingency(map_a, map_b)
-    ari = adjusted_rand(table)
-    matches = matched_jaccard(table)
-
+    map_a = _zone_map(geometry, cells_a, labels_a)
+    map_b = _zone_map(geometry, cells_b, labels_b)
+    comparison = compare_maps(map_a, map_b)
+    table = comparison.table
     comparison_doc = {
-        "ari": ari,
+        "ari": comparison.ari,
         "contingency": {
             "labels_a": list(table.labels_a),
             "labels_b": list(table.labels_b),
@@ -405,19 +365,16 @@ def _cmd_compare(args) -> int:
         },
         "coverage": {"joint": table.total, "only_a": table.only_a, "only_b": table.only_b},
         "matched_jaccard": [
-            {"label_a": la, "label_b": lb, "jaccard": score} for la, lb, score in matches
+            {"label_a": la, "label_b": lb, "jaccard": score}
+            for la, lb, score in comparison.matches
         ],
     }
-    _write_json(out_dir / "comparison.json", comparison_doc)
-    outputs = ["comparison.json"]
-
     report_a = cluster_summary(map_a, elevation, slope, stack)
     report_b = cluster_summary(map_b, elevation, slope, stack)
-    _write_json(
-        out_dir / "summary.json", {"a": _summary_doc(report_a), "b": _summary_doc(report_b)}
-    )
-    outputs.append("summary.json")
-
+    files = {
+        "comparison.json": _json_text(comparison_doc),
+        "summary.json": _json_text({"a": _summary_doc(report_a), "b": _summary_doc(report_b)}),
+    }
     if elevation is not None:
         series_pts = []
         for name, report in (("A", report_a), ("B", report_b)):
@@ -427,66 +384,35 @@ def _cmd_compare(args) -> int:
                 if s.mean_slope is not None and s.mean_elevation is not None
             ]
             series_pts.append((name, pts))
-        _write_text(
-            out_dir / "elev_slope.svg",
-            scatter_svg(series_pts, "mean slope (degrees)", "mean elevation (m)"),
+        files["elev_slope.svg"] = scatter_svg(
+            series_pts, "mean slope (degrees)", "mean elevation (m)"
         )
-        outputs.append("elev_slope.svg")
-
-    inputs = {
-        str(args.labels_a): _sha256(Path(args.labels_a)),
-        str(args.labels_b): _sha256(Path(args.labels_b)),
-    }
-    if args.dataset:
-        inputs.update(_dataset_input_hashes(Path(args.dataset)))
-    if args.elevation:
-        inputs[str(args.elevation)] = _sha256(Path(args.elevation))
-    _write_run_meta(
-        out_dir,
-        "compare",
-        {
-            "labels_a": str(args.labels_a),
-            "labels_b": str(args.labels_b),
-            "dataset": str(args.dataset) if args.dataset else None,
-            "elevation": str(args.elevation) if args.elevation else None,
-            "min_valid_fraction": args.min_valid_fraction,
-        },
-        inputs,
-        outputs,
-    )
-    print(f"ARI = {ari:.6f} over {table.total} jointly labeled cells")
+    _write_outputs(args, files, inputs)
+    print(f"ARI = {comparison.ari:.6f} over {table.total} jointly labeled cells")
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
-    out_dir = Path(args.out)
     path = Path(args.labels)
-    cells = _read_labels_csv(path)
-    if not cells:
+    cells, labels = _read_labels_csv(path)
+    if not len(cells):
         raise ParameterError(f"{path}: no labeled cells to render")
-    nrows = max(c.row for c in cells) + 1
-    ncols = max(c.col for c in cells) + 1
-    geometry = GridGeometry(PLANAR, 0.0, 0.0, 1.0, 1.0, nrows, ncols)
-    zm = _zone_map_from_cells(cells, geometry)
+    shape = tuple(int(n) + 1 for n in cells.max(axis=0))
+    order = np.lexsort((cells[:, 1], cells[:, 0]))  # row-major
     name = f"map_{path.stem}.svg"
-    _write_text(out_dir / name, zone_map_svg(zm, args.cell_px))
-    _write_run_meta(
-        out_dir,
-        "render",
-        {"labels": str(args.labels), "cell_px": args.cell_px},
-        {str(path): _sha256(path)},
-        [name],
-    )
-    print(f"wrote {out_dir / name}")
+    svg = cells_svg(shape, cells[order], labels[order], args.cell_px)
+    _write_outputs(args, {name: svg}, {str(path): _sha256(path)})
+    print(f"wrote {Path(args.out) / name}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common_out(sub) -> None:
+def _add_out(sub, cell_px: bool = True) -> None:
     sub.add_argument("--out", default="out", help="output directory (default: out)")
-    sub.add_argument("--cell-px", type=int, default=12, help="cell size in SVG pixels")
+    if cell_px:
+        sub.add_argument("--cell-px", type=int, default=12, help="cell size in SVG pixels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--min-valid-fraction", type=float, default=1.0)
-    _add_common_out(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_kmeans)
 
     p = subs.add_parser("mistic", help="year-wise zones, frequent-focus cores, consensus map")
@@ -529,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dominance threshold (default: min_years / total_years)",
     )
     p.add_argument("--min-valid-fraction", type=float, default=1.0)
-    _add_common_out(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_mistic)
 
     p = subs.add_parser("compare", help="contingency, ARI, matched Jaccard, terrain summaries")
@@ -538,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="dataset for geometry/value statistics")
     p.add_argument("--elevation", default=None, help="elevation CSV (requires --dataset)")
     p.add_argument("--min-valid-fraction", type=float, default=1.0)
-    _add_common_out(p)
+    _add_out(p, cell_px=False)
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("render", help="re-render a labels CSV as an SVG map")
     p.add_argument("labels", help="labels CSV (row,col,label)")
-    _add_common_out(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_render)
 
     return parser

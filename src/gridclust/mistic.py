@@ -36,7 +36,6 @@ from .gridcore import (
     GridGeometry,
     ScalarField,
     ZoneMap,
-    chebyshev,
 )
 from .ingest import AnnualMeanStack
 
@@ -377,25 +376,26 @@ def classify_core(
     return CLASS_CND
 
 
-def _translate_to_cores(zm: ZoneMap, cores: Sequence[Core]) -> np.ndarray:
+def _translate_to_cores(
+    zm: ZoneMap,
+    member_to_core: Mapping[CellIndex, int],
+    members: np.ndarray,
+    member_ids: np.ndarray,
+) -> np.ndarray:
     """Zone labels -> core ids: a zone maps to the core holding its anchor,
-    else to the core with the Chebyshev-nearest member (ties to smaller id)."""
-    member_to_core = {}
-    for core in cores:
-        for cell in core.member_cells:
-            member_to_core.setdefault(cell, core.id)
+    else to the core with the Chebyshev-nearest member (ties to smaller id).
+
+    ``members`` holds every core member cell as a row and ``member_ids`` the
+    id of its core."""
     if not zm.anchors:
         return np.full(zm.labels.shape, -1, dtype=np.int32)
     max_label = max(zm.anchors)
     lut = np.full(max_label + 2, -1, dtype=np.int32)
-    for label in sorted(zm.anchors):
-        anchor = zm.anchors[label]
+    for label, anchor in zm.anchors.items():
         cid = member_to_core.get(anchor)
         if cid is None:
-            cid = min(
-                (min(chebyshev(anchor, m) for m in core.member_cells), core.id)
-                for core in cores
-            )[1]
+            dist = np.abs(members - anchor).max(axis=1)
+            cid = member_ids[np.lexsort((member_ids, dist))[0]]
         lut[label] = cid
     lab = zm.labels
     return np.where(lab >= 0, lut[np.clip(lab, 0, max_label)], -1).astype(np.int32)
@@ -414,9 +414,16 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
         raise ParameterError("consensus requires at least one core")
     geom = _shared_geometry(yearly_zones)
     ncores, ncells = len(cores), geom.nrows * geom.ncols
+    member_to_core: dict[CellIndex, int] = {}
+    for core in cores:
+        for cell in core.member_cells:
+            member_to_core.setdefault(cell, core.id)
+    members = np.array([cell for core in cores for cell in core.member_cells]).reshape(-1, 2)
+    member_ids = np.array([core.id for core in cores for _ in core.member_cells])
     codes = []
     for zm in yearly_zones:
-        translated = _translate_to_cores(zm, cores).ravel().astype(np.intp)
+        translated = _translate_to_cores(zm, member_to_core, members, member_ids)
+        translated = translated.ravel().astype(np.intp)
         # Only ids 0..ncores-1 vote; unlabeled cells (-1) and other ids do not.
         voted = np.flatnonzero((translated >= 0) & (translated < ncores))
         codes.append(translated[voted] * ncells + voted)

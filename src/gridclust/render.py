@@ -32,7 +32,19 @@ def color_for(label: int) -> str:
 
 def zone_map_svg(zone_map: ZoneMap, cell_px: int = 12) -> str:
     """Render a label grid; row 0 sits at the bottom (northward rows go up)."""
-    nrows, ncols = zone_map.geometry.shape
+    labels = zone_map.labels
+    rows, cols = np.nonzero(labels >= 0)  # row-major order
+    return cells_svg(
+        zone_map.geometry.shape, np.column_stack([rows, cols]), labels[rows, cols], cell_px
+    )
+
+
+def cells_svg(
+    shape: tuple[int, int], cells: np.ndarray, labels: np.ndarray, cell_px: int = 12
+) -> str:
+    """Render labelled ``(row, col)`` cells on a ``shape`` grid, in the given
+    order; the rest of the grid is drawn as unlabelled."""
+    nrows, ncols = shape
     width, height = ncols * cell_px, nrows * cell_px
     parts = [
         _HEADER,
@@ -41,9 +53,7 @@ def zone_map_svg(zone_map: ZoneMap, cell_px: int = 12) -> str:
         f'viewBox="0 0 {width} {height}">\n',
         f'<rect width="{width}" height="{height}" fill="{UNLABELED_FILL}"/>\n',
     ]
-    labels = zone_map.labels
-    rows, cols = np.nonzero(labels >= 0)  # row-major order
-    for r, c, lab in zip(rows.tolist(), cols.tolist(), labels[rows, cols].tolist()):
+    for (r, c), lab in zip(cells.tolist(), labels.tolist()):
         parts.append(
             f'<rect x="{c * cell_px}" y="{(nrows - 1 - r) * cell_px}" width="{cell_px}" '
             f'height="{cell_px}" fill="{color_for(lab)}"/>\n'

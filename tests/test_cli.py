@@ -1,10 +1,13 @@
+import hashlib
 import json
 import shutil
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridclust import kmeans
+from gridclust import __version__, kmeans
 from gridclust.cli import main
 
 from test_ingest import constant_lines, manifest_doc, write_gts
@@ -12,6 +15,19 @@ from test_ingest import constant_lines, manifest_doc, write_gts
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_meta(out):
+    return json.loads((out / "run_meta.json").read_text())
+
+
+def hashes(*paths):
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def dataset_files(root):
+    years = [root / "data" / f"{year}.csv" for year in range(1990, 1996)]
+    return [root / "manifest.json", *years, root / "elevation.csv"]
 
 
 @pytest.fixture(scope="session")
@@ -281,6 +297,39 @@ class TestCompareCommand:
         assert run(command, bad, *others, "--out", tmp_path / "out") == 2
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["render", "compare"])
+    @pytest.mark.parametrize("line, name", [("1099511627776,0,1", "row"), ("0,2147483648,1", "col")])
+    def test_index_beyond_int32_exits_two(self, tmp_path, capsys, command, line, name):
+        labels = tmp_path / "far.csv"
+        labels.write_text(f"row,col,label\n{line}\n")
+        others = [] if command == "render" else [labels]
+        assert run(command, labels, *others, "--out", tmp_path / "out") == 2
+        value = line.split(",")[0 if name == "row" else 1]
+        assert f"line 2: {name} {value} does not fit in int32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "compare"])
+    def test_far_cell_allocates_no_grid(self, tmp_path, command):
+        # A grid sized by the largest row and col here would take 64 MB.
+        labels = tmp_path / "far.csv"
+        labels.write_text("row,col,label\n0,0,1\n4000,4000,2\n")
+        others = [] if command == "render" else [labels]
+        tracemalloc.start()
+        try:
+            code = run(command, labels, *others, "--out", tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
+
+    def test_cell_outside_dataset_grid_exits_two(self, demo_dataset, mi_out, tmp_path, capsys):
+        root, _ = demo_dataset
+        outside = tmp_path / "outside.csv"
+        outside.write_text("row,col,label\n0,0,1\n3,24,1\n24,0,1\n")
+        assert run("compare", mi_out / "consensus.csv", outside, "--dataset", root,
+                   "--out", tmp_path / "o") == 2
+        assert "label cell (3, 24) outside the dataset grid (24, 24)" in capsys.readouterr().err
+
     def test_label_beyond_int32_exits_two(self, tmp_path, capsys):
         labels = tmp_path / "big.csv"
         labels.write_text("row,col,label\n0,0,2147483648\n")
@@ -302,3 +351,97 @@ class TestRenderCommand:
         svg = (out / "map_consensus.svg").read_text()
         assert svg.startswith("<?xml")
         assert "<svg" in svg
+
+
+class TestRunMeta:
+    """``run_meta.json`` of each writing command, spelled out."""
+
+    def test_kmeans_records_the_parsed_k_list(self, demo_dataset, km_out):
+        root, _ = demo_dataset
+        assert run_meta(km_out) == {
+            "command": "kmeans",
+            "version": __version__,
+            "parameters": {
+                "dataset": str(root),
+                "k": [2, 3],
+                "seed": 0,
+                "restarts": 3,
+                "min_valid_fraction": 1.0,
+                "cell_px": 12,
+            },
+            "inputs": hashes(*dataset_files(root)),
+            "outputs": [
+                "kmeans_report.json", "labels_k2.csv", "labels_k3.csv", "map_k2.svg", "map_k3.svg"
+            ],
+            "notices": [],
+        }
+
+    def test_mistic_records_the_resolved_orientation(self, demo_dataset, mi_out):
+        root, _ = demo_dataset
+        assert run_meta(mi_out) == {
+            "command": "mistic",
+            "version": __version__,
+            "parameters": {
+                "dataset": str(root),
+                "orientation": "maxima",
+                "min_years": 3,
+                "mode": "cc",
+                "radius": 1,
+                "theta_high": 0.6,
+                "theta_dom": None,
+                "min_valid_fraction": 1.0,
+                "cell_px": 12,
+            },
+            "inputs": hashes(*dataset_files(root)),
+            "outputs": ["consensus.csv", "cores.json", "foci.json", "map_consensus.svg"]
+            + [f"zones_{year}.csv" for year in range(1990, 1996)],
+            "notices": [],
+        }
+
+    @pytest.mark.parametrize("source", ["neither", "dataset", "elevation"])
+    def test_compare(self, demo_dataset, km_out, mi_out, tmp_path, source):
+        root, _ = demo_dataset
+        a, b = km_out / "labels_k2.csv", mi_out / "consensus.csv"
+        elevation = tmp_path / "elev.csv"
+        shutil.copy(root / "elevation.csv", elevation)
+        extra = {
+            "neither": [],
+            "dataset": ["--dataset", root],
+            "elevation": ["--dataset", root, "--elevation", elevation],
+        }[source]
+        out = tmp_path / "out"
+        assert run("compare", a, b, *extra, "--out", out) == 0
+        inputs = [a, b]
+        outputs = ["comparison.json", "summary.json"]
+        if source != "neither":
+            inputs += dataset_files(root)
+            outputs.insert(1, "elev_slope.svg")
+        if source == "elevation":
+            inputs.append(elevation)
+        assert run_meta(out) == {
+            "command": "compare",
+            "version": __version__,
+            "parameters": {
+                "labels_a": str(a),
+                "labels_b": str(b),
+                "dataset": str(root) if source != "neither" else None,
+                "elevation": str(elevation) if source == "elevation" else None,
+                "min_valid_fraction": 1.0,
+            },
+            "inputs": hashes(*inputs),
+            "outputs": outputs,
+            "notices": [],
+        }
+
+    def test_render(self, mi_out, tmp_path):
+        labels = mi_out / "consensus.csv"
+        out = tmp_path / "out"
+        assert run("render", labels, "--out", out) == 0
+        assert run_meta(out) == {
+            "command": "render",
+            "version": __version__,
+            "parameters": {"labels": str(labels), "cell_px": 12},
+            "inputs": hashes(labels),
+            "outputs": ["map_consensus.svg"],
+            "notices": [],
+        }

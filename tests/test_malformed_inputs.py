@@ -4,8 +4,7 @@ Hypothesis draws broken manifests, year files, elevation files and label
 CSVs (non-UTF-8 bytes included) and runs each through ``gridclust.cli.main``
 as the command line would.  Every drawn input is malformed by construction,
 so the only acceptable results are exit code 2 (invalid input) or 3 (I/O
-failure).  Label rows keep their row and column small: without ``--dataset``
-the grid is sized from the largest row and column in the file.
+failure).
 """
 
 import contextlib
@@ -183,10 +182,10 @@ VALID_LABEL_ROWS = ["0,0,1", "0,1,1", "1,0,2", "1,1,0"]
 def broken_label_files(draw):
     lines = ["row,col,label"] + VALID_LABEL_ROWS
     how = draw(st.sampled_from(
-        ["header", "fields", "token", "negative", "huge label", "repeat", "not utf-8"]
+        ["header", "fields", "token", "negative", "huge entry", "repeat", "not utf-8"]
     ))
     at = draw(st.integers(1, len(lines)))
-    ints = st.integers(0, 3)
+    ints = st.integers(min_value=0)
     if how == "header":
         header = draw(LINE_TEXT)
         assume(header.strip() != "row,col,label")
@@ -204,8 +203,10 @@ def broken_label_files(draw):
         parts = [str(draw(ints)), str(draw(ints)), str(draw(ints))]
         parts[draw(st.integers(0, 2))] = str(draw(st.integers(max_value=-1)))
         lines.insert(at, ",".join(parts))
-    elif how == "huge label":
-        lines.insert(at, f"3,3,{draw(st.integers(2**31, 2**80))}")
+    elif how == "huge entry":
+        parts = [str(draw(ints)), str(draw(ints)), str(draw(ints))]
+        parts[draw(st.integers(0, 2))] = str(draw(st.integers(2**31, 2**80)))
+        lines.insert(at, ",".join(parts))
     elif how == "repeat":
         lines.insert(at, draw(st.sampled_from(VALID_LABEL_ROWS)))
     raw = "".join(line + "\n" for line in lines).encode()

@@ -2,8 +2,10 @@
 
 The oracles below are the earlier implementations of core grouping
 (pairwise union-find), watershed growth (label on first pop, stale entries
-skipped), core extents (one ``ZoneMap.cells_of`` call per anchored zone) and
-consensus voting (one pass per core id).  The library must reproduce them
+skipped), core extents (one ``ZoneMap.cells_of`` call per anchored zone),
+consensus voting (one pass per core id) and the translation of zones to
+cores (one ``chebyshev`` call per anchor and member for anchors outside
+every core).  The library must reproduce them
 exactly on every input.
 """
 
@@ -19,7 +21,6 @@ from gridclust.mistic import (
     Core,
     FocusPoint,
     _group_cells,
-    _translate_to_cores,
     build_cores,
     consensus_zone_map,
     detect_focus_points,
@@ -105,12 +106,34 @@ def oracle_build_cores(table, mode, radius, yearly_zones):
     return cores
 
 
+def oracle_translate_to_cores(zm, cores):
+    member_to_core = {}
+    for core in cores:
+        for cell in core.member_cells:
+            member_to_core.setdefault(cell, core.id)
+    if not zm.anchors:
+        return np.full(zm.labels.shape, -1, dtype=np.int32)
+    max_label = max(zm.anchors)
+    lut = np.full(max_label + 2, -1, dtype=np.int32)
+    for label in sorted(zm.anchors):
+        anchor = zm.anchors[label]
+        cid = member_to_core.get(anchor)
+        if cid is None:
+            cid = min(
+                (min(chebyshev(anchor, m) for m in core.member_cells), core.id)
+                for core in cores
+            )[1]
+        lut[label] = cid
+    lab = zm.labels
+    return np.where(lab >= 0, lut[np.clip(lab, 0, max_label)], -1).astype(np.int32)
+
+
 def oracle_consensus_labels(yearly_zones, cores):
     shape = yearly_zones[0].geometry.shape
     ncores = len(cores)
     votes = np.zeros((ncores,) + shape, dtype=np.int32)
     for zm in yearly_zones:
-        translated = _translate_to_cores(zm, cores)
+        translated = oracle_translate_to_cores(zm, cores)
         for cid in range(ncores):
             votes[cid] += translated == cid
     winner = votes.argmax(axis=0).astype(np.int32)
@@ -182,3 +205,47 @@ def test_extents_and_consensus_match_loop_versions(stack, orientation, mode, rad
     if cores:
         got = consensus_zone_map(yearly_zones, cores).labels
         assert np.array_equal(got, oracle_consensus_labels(yearly_zones, cores))
+
+
+@st.composite
+def foreign_cores(draw, shape):
+    """Cores whose members are drawn cells of ``shape``, listed in a drawn
+    order: members may be shared between cores and anchors may lie outside
+    every core."""
+    cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    n = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(n)))
+    cores = []
+    for cid in ids:
+        members = sorted(draw(st.sets(cells, min_size=1, max_size=4)))
+        cores.append(
+            Core(
+                id=cid,
+                member_cells=tuple(CellIndex(*m) for m in members),
+                member_counts=(1,) * len(members),
+                total_years=1,
+                mode="cc",
+                radius=None,
+                dominance=None,
+                extent=frozenset(),
+            )
+        )
+    return cores
+
+
+@given(stack=tie_heavy_stacks(), orientation=orientations, data=st.data())
+def test_consensus_with_foreign_cores_matches_loop_translation(stack, orientation, data):
+    values, mask = stack
+    if not mask.any():
+        return
+    yearly_zones = []
+    for year_values in values:
+        field = make_field(year_values, mask=mask)
+        foci = detect_focus_points(field, orientation)
+        if foci:
+            yearly_zones.append(watershed_zones(field, foci, orientation))
+    if not yearly_zones:
+        return
+    cores = data.draw(foreign_cores(mask.shape))
+    got = consensus_zone_map(yearly_zones, cores).labels
+    assert np.array_equal(got, oracle_consensus_labels(yearly_zones, cores))
