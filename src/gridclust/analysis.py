@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ParameterError, ShapeMismatchError
 from .gridcore import ScalarField, ZoneMap
@@ -105,8 +104,11 @@ def matched_jaccard(
     Solved with the Hungarian method on the negated Jaccard matrix
     (``|A_i & B_j| / |A_i | B_j|``).  Returns ``(label_a, label_b, score)``
     triples; labels left unmatched by the cardinality gap are reported with
-    a ``None`` partner and score 0.
+    a ``None`` partner and score 0.  scipy is imported here, not at module
+    level, so that only ``compare`` pays for loading it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     na, nb = len(table.labels_a), len(table.labels_b)
     if na == 0 or nb == 0:
         return []

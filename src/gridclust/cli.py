@@ -84,17 +84,17 @@ def _write_outputs(
             fh.write(text)
 
 
-def _load(args):
+def _load(args, elevation: bool = True):
     """Series, annual stack and input hashes of ``--dataset``.
 
-    The hashes cover the manifest, every year file and ``elevation.csv``
-    when the dataset has one.
+    The hashes cover the manifest, every year file and, with ``elevation``,
+    ``elevation.csv`` when the dataset has one.
     """
     root = Path(args.dataset)
     series = load_dataset(root)
     stack = build_annual_stack(series, args.min_valid_fraction)
     paths = [root / MANIFEST_NAME] + [root / DATA_DIR / f"{y}.csv" for y in series.years]
-    if (root / ELEVATION_NAME).exists():
+    if elevation and (root / ELEVATION_NAME).exists():
         paths.append(root / ELEVATION_NAME)
     return series, stack, {str(p): _sha256(p) for p in paths}
 
@@ -324,7 +324,8 @@ def _cmd_compare(args) -> int:
 
     stack = elevation = slope = None
     if args.dataset:
-        series, stack, dataset_inputs = _load(args)
+        # --elevation is read in place of the dataset's own elevation.csv.
+        series, stack, dataset_inputs = _load(args, elevation=not args.elevation)
         inputs.update(dataset_inputs)
         geometry = series.geometry
         elev_path = Path(args.elevation) if args.elevation else Path(args.dataset) / ELEVATION_NAME

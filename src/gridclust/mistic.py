@@ -12,7 +12,9 @@ The pipeline runs in five stages over a stack of annual fields:
    focus there, with a frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
    contiguity (CC) or within a Chebyshev radius with transitive closure
-   (CR), classified by member recurrence into CHD / CLD / CND;
+   (CR), classified by member recurrence into CHD / CLD / CND.  Close pairs
+   come from a window search over sorted flat cell keys and are closed
+   into groups by a numpy connected-components helper;
 5. consensus: per-cell modal core assignment across all years.
 
 The number of cores is an output of the process, never an input.
@@ -25,9 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import EmptyDomainError, ParameterError, ShapeMismatchError
 from .gridcore import (
@@ -153,6 +152,34 @@ def _padded_keys(field: ScalarField, orientation: str) -> tuple[np.ndarray, int,
     return keys.ravel(), width, offsets
 
 
+def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on nodes ``0..n-1`` with
+    edges ``(heads[i], tails[i])``; self-loops and repeated edges are allowed.
+
+    Min-label hooking and pointer jumping in the manner of Shiloach & Vishkin
+    (1982): every label is a node of its component and never above it, each
+    edge hooks the roots of both endpoints onto the smaller of the two, and
+    labels then jump to their label's label until stable.  Rounds repeat
+    until one changes nothing, when both ends of every edge share a root.
+    Returns dense labels ``0..C-1``, numbered by each component's smallest
+    node.
+    """
+    lab = np.arange(n)
+    while True:
+        root_h, root_t = lab[heads], lab[tails]
+        low = np.minimum(root_h, root_t)
+        changed = low < np.maximum(root_h, root_t)
+        if not changed.any():
+            return np.unique(lab, return_inverse=True)[1]
+        np.minimum.at(lab, root_h[changed], low[changed])
+        np.minimum.at(lab, root_t[changed], low[changed])
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+
+
 def detect_focus_points(
     field: ScalarField, orientation: str, year: int = 0
 ) -> list[FocusPoint]:
@@ -182,9 +209,7 @@ def detect_focus_points(
         tie = np.flatnonzero(head == tail)
         heads.append(tie)
         tails.append(tie + off)
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    graph = coo_matrix((np.ones(heads.size), (heads, tails)), shape=(n, n))
-    _, component = connected_components(graph, directed=False)
+    component = _components(n, np.concatenate(heads), np.concatenate(tails))
     _, first, size = np.unique(component, return_index=True, return_counts=True)
     blocked = np.bincount(component, weights=beaten) > 0
     emit = np.sort(first[valid[first] & ~blocked & (size < total_valid)])
@@ -264,16 +289,46 @@ def mine_frequent_foci(
     return FocusFrequencyTable(counts, total_years, min_years)
 
 
+def _close_pairs(cells: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of distinct rows of the (n, 2) ``cells``, once, within
+    Chebyshev distance ``radius``, as two index arrays.
+
+    Cells become flat keys ``row * w + col`` with the smallest row and col
+    taken off and ``w`` the col span plus ``2 * radius + 1``, so the column
+    window ``key ± radius`` of one row never reaches into another.  With the
+    keys sorted once, the window of each row offset ``0..radius`` is two
+    binary searches; at offset 0 it starts past the cell itself.  The cost
+    is O(radius * n log n + pairs) at any radius.
+    """
+    rows = cells[:, 0] - cells[:, 0].min()
+    cols = cells[:, 1] - cells[:, 1].min()
+    width = int(cols.max()) + 2 * radius + 1
+    keys = rows * width + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    index = np.arange(len(keys))
+    heads, tails = [], []
+    for dr in range(radius + 1):
+        centre = keys + dr * width
+        lo = index + 1 if dr == 0 else np.searchsorted(keys, centre - radius)
+        hi = np.searchsorted(keys, centre + radius, side="right")
+        count = hi - lo
+        ends = np.cumsum(count)
+        heads.append(np.repeat(index, count))
+        tails.append(np.arange(ends[-1]) + np.repeat(lo - (ends - count), count))
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    return order[heads], order[tails]
+
+
 def _group_cells(cells: list[CellIndex], max_dist: int) -> list[list[CellIndex]]:
-    """Transitive closure of 'within Chebyshev distance max_dist' over cells.
+    """Transitive closure of 'within Chebyshev distance max_dist' over cells:
+    the pairs of :func:`_close_pairs` closed by :func:`_components`.
 
     Each group keeps the order of ``cells``, so sorted input gives sorted
-    groups.
+    groups; groups come in the order of their first cell.
     """
-    n = len(cells)
-    pairs = cKDTree(cells).query_pairs(max_dist, p=np.inf, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, component = connected_components(graph, directed=False)
+    heads, tails = _close_pairs(np.array(cells, dtype=np.int64).reshape(-1, 2), max_dist)
+    component = _components(len(cells), heads, tails)
     groups: dict[int, list[CellIndex]] = {}
     for cell, k in zip(cells, component.tolist()):
         groups.setdefault(k, []).append(cell)
@@ -296,7 +351,9 @@ def build_cores(
     """Group all observed focus cells into cores and attach their extents.
 
     CC joins 8-adjacent focus cells (connected components); CR joins any two
-    foci within Chebyshev distance ``radius``, closed transitively.  A core's
+    foci within Chebyshev distance ``radius``, closed transitively.  Both
+    find close pairs by a window search over sorted flat cell keys
+    (:func:`_close_pairs`) and close them with :func:`_components`.  A core's
     extent is the union over years of the cells of every zone whose anchor is
     one of its members.  Ids are assigned by decreasing maximum member
     frequency, ties by smallest member cell.  Dominance is left unset; see
@@ -383,22 +440,26 @@ def _translate_to_cores(
     member_ids: np.ndarray,
 ) -> np.ndarray:
     """Zone labels -> core ids: a zone maps to the core holding its anchor,
-    else to the core with the Chebyshev-nearest member (ties to smaller id).
+    else to the core with the Chebyshev-nearest member (ties to smaller id);
+    a label without an anchor maps to -1.
 
     ``members`` holds every core member cell as a row and ``member_ids`` the
     id of its core."""
     if not zm.anchors:
         return np.full(zm.labels.shape, -1, dtype=np.int32)
-    max_label = max(zm.anchors)
-    lut = np.full(max_label + 2, -1, dtype=np.int32)
+    # Sized past every label as well as every anchor, so a label without an
+    # anchor reads -1; one spare trailing slot: label -1 indexes it and reads -1.
+    top = max([int(zm.labels.max()), *zm.anchors])
+    lut = np.full(top + 2, -1, dtype=np.int32)
     for label, anchor in zm.anchors.items():
+        if label < 0:
+            continue
         cid = member_to_core.get(anchor)
         if cid is None:
             dist = np.abs(members - anchor).max(axis=1)
             cid = member_ids[np.lexsort((member_ids, dist))[0]]
         lut[label] = cid
-    lab = zm.labels
-    return np.where(lab >= 0, lut[np.clip(lab, 0, max_label)], -1).astype(np.int32)
+    return lut[zm.labels]
 
 
 def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -> ZoneMap:

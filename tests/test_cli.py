@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridclust
 from gridclust import __version__, kmeans
 from gridclust.cli import main
 
@@ -417,7 +421,8 @@ class TestRunMeta:
             inputs += dataset_files(root)
             outputs.insert(1, "elev_slope.svg")
         if source == "elevation":
-            inputs.append(elevation)
+            # The file read in place of the dataset's own elevation.csv.
+            inputs[-1] = elevation
         assert run_meta(out) == {
             "command": "compare",
             "version": __version__,
@@ -445,3 +450,58 @@ class TestRunMeta:
             "outputs": ["map_consensus.svg"],
             "notices": [],
         }
+
+
+# Blocks scipy in a fresh interpreter (any scipy import raises ImportError),
+# then runs each argv of the JSON list in argv[1] through the CLI.
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+from gridclust.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def fresh_python(code, *args):
+    env = dict(os.environ)
+    src = str(Path(gridclust.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestStartUpWithoutScipy:
+    """Only ``compare`` loads scipy; the other commands never import it."""
+
+    def test_import_loads_no_scipy(self):
+        proc = fresh_python(
+            "import sys, gridclust.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_match_an_unguarded_run(self, demo_dataset, km_out, mi_out, tmp_path):
+        root, _ = demo_dataset
+        labels = mi_out / "consensus.csv"
+        render_out = tmp_path / "render"
+        assert run("render", labels, "--out", render_out) == 0
+        argvs = [
+            ["validate", "--dataset", root],
+            ["kmeans", "--dataset", root, "--k", "2,3", "--restarts", "3",
+             "--out", tmp_path / "km"],
+            ["mistic", "--dataset", root, "--min-years", "3", "--out", tmp_path / "mi"],
+            ["render", labels, "--out", tmp_path / "blocked_render"],
+        ]
+        proc = fresh_python(SCIPY_BLOCKED, json.dumps([[str(a) for a in v] for v in argvs]))
+        assert proc.returncode == 0, proc.stderr
+        assert dir_bytes(tmp_path / "km") == dir_bytes(km_out)
+        assert dir_bytes(tmp_path / "mi") == dir_bytes(mi_out)
+        assert dir_bytes(tmp_path / "blocked_render") == dir_bytes(render_out)

@@ -353,6 +353,16 @@ class TestConsensus:
         cons = consensus_zone_map([y], cores)
         assert cons.labels[0, 1] == 0
 
+    @pytest.mark.parametrize(
+        "labels, anchors",
+        [([[0, 5, -1]], {0: CellIndex(0, 0)}), ([[2, 1, -1]], {2: CellIndex(0, 0)})],
+        ids=["above-every-anchor", "below-an-anchor"],
+    )
+    def test_label_without_anchor_does_not_vote(self, labels, anchors):
+        core = Core(0, (CellIndex(0, 0),), (1,), 1, "cc", None, None, frozenset())
+        cons = consensus_zone_map([self.zone(labels, anchors)], [core])
+        assert cons.labels.tolist() == [[0, -1, -1]]
+
     def test_unlabeled_everywhere_stays_unlabeled(self):
         cores = self.cores_two()
         y = self.zone([[-1, -1, -1]], {})

@@ -1,7 +1,9 @@
 """Differential tests: the vectorised MiSTIC stages against their loop versions.
 
 The oracles below are the earlier implementations of core grouping
-(pairwise union-find), watershed growth (label on first pop, stale entries
+(pairwise union-find, and scipy's ``cKDTree.query_pairs`` closed by
+``connected_components``), connected components (``scipy.sparse.csgraph``),
+watershed growth (label on first pop, stale entries
 skipped), core extents (one ``ZoneMap.cells_of`` call per anchored zone),
 consensus voting (one pass per core id) and the translation of zones to
 cores (one ``chebyshev`` call per anchor and member for anchors outside
@@ -12,14 +14,19 @@ exactly on every input.
 import heapq
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from gridclust.gridcore import NEIGHBOR_OFFSETS, CellIndex, ZoneMap, chebyshev
 from gridclust.mistic import (
     Core,
     FocusPoint,
+    _close_pairs,
+    _components,
     _group_cells,
     build_cores,
     consensus_zone_map,
@@ -50,6 +57,25 @@ def oracle_group_cells(cells, max_dist):
     for i, cell in enumerate(cells):
         groups.setdefault(find(i), []).append(cell)
     return [sorted(g) for g in groups.values()]
+
+
+def scipy_components(n, heads, tails):
+    graph = coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def scipy_close_pairs(cells, radius):
+    pairs = cKDTree(cells).query_pairs(radius, p=np.inf, output_type="ndarray")
+    return sorted(map(tuple, pairs.tolist()))
+
+
+def scipy_group_cells(cells, max_dist):
+    pairs = np.array(scipy_close_pairs(cells, max_dist), dtype=np.intp).reshape(-1, 2)
+    component = scipy_components(len(cells), pairs[:, 0], pairs[:, 1])
+    groups = {}
+    for cell, k in zip(cells, component.tolist()):
+        groups.setdefault(k, []).append(cell)
+    return list(groups.values())
 
 
 def oracle_watershed(field, foci, orientation):
@@ -113,8 +139,7 @@ def oracle_translate_to_cores(zm, cores):
             member_to_core.setdefault(cell, core.id)
     if not zm.anchors:
         return np.full(zm.labels.shape, -1, dtype=np.int32)
-    max_label = max(zm.anchors)
-    lut = np.full(max_label + 2, -1, dtype=np.int32)
+    lut = {}
     for label in sorted(zm.anchors):
         anchor = zm.anchors[label]
         cid = member_to_core.get(anchor)
@@ -124,8 +149,7 @@ def oracle_translate_to_cores(zm, cores):
                 for core in cores
             )[1]
         lut[label] = cid
-    lab = zm.labels
-    return np.where(lab >= 0, lut[np.clip(lab, 0, max_label)], -1).astype(np.int32)
+    return np.vectorize(lambda v: lut.get(v, -1), otypes=[np.int32])(zm.labels)
 
 
 def oracle_consensus_labels(yearly_zones, cores):
@@ -155,6 +179,72 @@ def tie_heavy_stacks(draw, max_years=5):
     values = draw(hnp.arrays(np.int8, (years,) + shape, elements=st.integers(0, 3)))
     mask = draw(hnp.arrays(np.bool_, shape, elements=st.sampled_from([True, True, True, False])))
     return values.astype(float), mask
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and edges among its nodes, self-loops and repeats allowed."""
+    n = draw(st.integers(1, 40))
+    nodes = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(nodes, nodes), max_size=80))
+
+
+@st.composite
+def cell_layouts(draw):
+    """Distinct cells in one to three clusters placed anywhere in a square of
+    side 10**6, or squeezed onto one row or one column, in drawn order."""
+    cells = set()
+    for r0, c0 in draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                                min_size=1, max_size=3)):
+        box = st.tuples(st.integers(0, 12), st.integers(0, 12))
+        cells |= {(r0 + r, c0 + c) for r, c in draw(st.sets(box, min_size=1, max_size=30))}
+    layout = draw(st.sampled_from(["plane", "row", "column"]))
+    if layout == "row":
+        cells = {(7, c) for _, c in cells}
+    elif layout == "column":
+        cells = {(r, 7) for r, _ in cells}
+    return draw(st.permutations(sorted(cells)))
+
+
+@given(graph=edge_lists())
+@example(graph=(1, []))
+@example(graph=(1, [(0, 0)]))
+@example(graph=(4, []))
+@example(graph=(5, [(3, 1), (1, 3), (3, 1), (2, 2), (4, 0), (4, 0)]))
+def test_components_match_scipy(graph):
+    n, edges = graph
+    heads = np.array([h for h, _ in edges], dtype=np.intp)
+    tails = np.array([t for _, t in edges], dtype=np.intp)
+    got = _components(n, heads, tails)
+    assert np.array_equal(got, scipy_components(n, heads, tails))
+    assert np.array_equal(np.unique(got), np.arange(got.max() + 1))
+
+
+def test_components_match_scipy_on_long_shuffled_paths():
+    rng = np.random.default_rng(0)
+    for n in (2, 100, 5000):
+        path = rng.permutation(n)
+        heads, tails = path[:-1], path[1:]
+        # cut the path into pieces so several components remain
+        keep = rng.random(n - 1) < 0.99
+        heads, tails = heads[keep], tails[keep]
+        assert np.array_equal(_components(n, heads, tails), scipy_components(n, heads, tails))
+
+
+@given(cells=cell_layouts(), radius=st.integers(1, 6))
+@example(cells=[(0, 0)], radius=1)
+@example(cells=[(10**6, 3)], radius=6)
+def test_close_pairs_match_query_pairs(cells, radius):
+    cells = np.array(cells, dtype=np.int64)
+    heads, tails = _close_pairs(cells, radius)
+    got = sorted(zip(np.minimum(heads, tails).tolist(), np.maximum(heads, tails).tolist()))
+    assert got == scipy_close_pairs(cells, radius)
+
+
+@given(cells=cell_layouts(), radius=st.integers(1, 6))
+def test_grouping_matches_scipy_version(cells, radius):
+    cells = [CellIndex(*c) for c in cells]
+    assert _group_cells(cells, radius) == scipy_group_cells(cells, radius)
 
 
 @given(cells=cell_sets, radius=radii)
@@ -244,6 +334,26 @@ def test_consensus_with_foreign_cores_matches_loop_translation(stack, orientatio
         foci = detect_focus_points(field, orientation)
         if foci:
             yearly_zones.append(watershed_zones(field, foci, orientation))
+    if not yearly_zones:
+        return
+    cores = data.draw(foreign_cores(mask.shape))
+    got = consensus_zone_map(yearly_zones, cores).labels
+    assert np.array_equal(got, oracle_consensus_labels(yearly_zones, cores))
+
+
+@given(stack=tie_heavy_stacks(), orientation=orientations, data=st.data())
+def test_consensus_with_unanchored_labels_matches_loop_translation(stack, orientation, data):
+    values, mask = stack
+    if not mask.any():
+        return
+    yearly_zones = []
+    for year_values in values:
+        field = make_field(year_values, mask=mask)
+        foci = detect_focus_points(field, orientation)
+        if foci:
+            zm = watershed_zones(field, foci, orientation)
+            kept = data.draw(st.sets(st.sampled_from(sorted(zm.anchors))))
+            yearly_zones.append(ZoneMap(zm.geometry, zm.labels, {k: zm.anchors[k] for k in kept}))
     if not yearly_zones:
         return
     cores = data.draw(foreign_cores(mask.shape))
