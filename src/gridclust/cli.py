@@ -84,17 +84,17 @@ def _write_outputs(
             fh.write(text)
 
 
-def _load(args, elevation: bool = True):
+def _load(args, hash_elevation: bool = True):
     """Series, annual stack and input hashes of ``--dataset``.
 
-    The hashes cover the manifest, every year file and, with ``elevation``,
-    ``elevation.csv`` when the dataset has one.
+    The hashes cover the manifest, every year file and, with
+    ``hash_elevation``, ``elevation.csv`` when the dataset has one.
     """
     root = Path(args.dataset)
     series = load_dataset(root)
     stack = build_annual_stack(series, args.min_valid_fraction)
     paths = [root / MANIFEST_NAME] + [root / DATA_DIR / f"{y}.csv" for y in series.years]
-    if elevation and (root / ELEVATION_NAME).exists():
+    if hash_elevation and (root / ELEVATION_NAME).exists():
         paths.append(root / ELEVATION_NAME)
     return series, stack, {str(p): _sha256(p) for p in paths}
 
@@ -325,7 +325,7 @@ def _cmd_compare(args) -> int:
     stack = elevation = slope = None
     if args.dataset:
         # --elevation is read in place of the dataset's own elevation.csv.
-        series, stack, dataset_inputs = _load(args, elevation=not args.elevation)
+        series, stack, dataset_inputs = _load(args, hash_elevation=not args.elevation)
         inputs.update(dataset_inputs)
         geometry = series.geometry
         elev_path = Path(args.elevation) if args.elevation else Path(args.dataset) / ELEVATION_NAME

@@ -193,10 +193,10 @@ def edge_lists(draw):
 def cell_layouts(draw):
     """Distinct cells in one to three clusters placed anywhere in a square of
     side 10**6, or squeezed onto one row or one column, in drawn order."""
+    corner = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+    box = st.tuples(st.integers(0, 12), st.integers(0, 12))
     cells = set()
-    for r0, c0 in draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
-                                min_size=1, max_size=3)):
-        box = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    for r0, c0 in draw(st.lists(corner, min_size=1, max_size=3)):
         cells |= {(r0 + r, c0 + c) for r, c in draw(st.sets(box, min_size=1, max_size=30))}
     layout = draw(st.sampled_from(["plane", "row", "column"]))
     if layout == "row":
