@@ -262,6 +262,8 @@ def run_kmeans(
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(X, k, rng)

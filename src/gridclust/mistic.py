@@ -15,7 +15,9 @@ The pipeline runs in five stages over a stack of annual fields:
    (CR), classified by member recurrence into CHD / CLD / CND.  Close pairs
    come from a window search over sorted flat cell keys and are closed
    into groups by a numpy connected-components helper;
-5. consensus: per-cell modal core assignment across all years.
+5. consensus: per-cell modal core assignment across all years.  Core
+   extents and consensus share one zone-to-core translation (through each
+   zone's anchor focus), with one table entry per anchored zone.
 
 The number of cores is an output of the process, never an input.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -294,21 +296,24 @@ def _close_pairs(cells: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray
     Chebyshev distance ``radius``, as two index arrays.
 
     Cells become flat keys ``row * w + col`` with the smallest row and col
-    taken off and ``w`` the col span plus ``2 * radius + 1``, so the column
-    window ``key ± radius`` of one row never reaches into another.  With the
-    keys sorted once, the window of each row offset ``0..radius`` is two
-    binary searches; at offset 0 it starts past the cell itself.  The cost
-    is O(radius * n log n + pairs) at any radius.
+    taken off and ``w`` the col span plus ``2 * radius + 1``, the radius
+    clamped to the largest span first, so the column window ``key ± radius``
+    of one row never reaches into another.  With the keys sorted once, each
+    row offset that takes some cell to an occupied row costs two binary
+    searches; the others are skipped.
     """
     rows = cells[:, 0] - cells[:, 0].min()
     cols = cells[:, 1] - cells[:, 1].min()
+    radius = min(radius, int(max(rows.max(), cols.max())))
     width = int(cols.max()) + 2 * radius + 1
     keys = rows * width + cols
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys, rows = keys[order], rows[order]
+    occupied = np.append(np.unique(rows), rows.max() + radius + 1)  # sentinel past the radius
     index = np.arange(len(keys))
     heads, tails = [], []
-    for dr in range(radius + 1):
+    dr = 0
+    while dr <= radius:
         centre = keys + dr * width
         lo = index + 1 if dr == 0 else np.searchsorted(keys, centre - radius)
         hi = np.searchsorted(keys, centre + radius, side="right")
@@ -316,6 +321,8 @@ def _close_pairs(cells: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray
         ends = np.cumsum(count)
         heads.append(np.repeat(index, count))
         tails.append(np.arange(ends[-1]) + np.repeat(lo - (ends - count), count))
+        # The next offset that takes some cell to an occupied row.
+        dr = int((occupied[np.searchsorted(occupied, rows + dr, side="right")] - rows).min())
     heads, tails = np.concatenate(heads), np.concatenate(tails)
     return order[heads], order[tails]
 
@@ -340,6 +347,22 @@ def _shared_geometry(yearly_zones: Sequence[ZoneMap]) -> GridGeometry:
     if any(zm.geometry.shape != geom.shape for zm in yearly_zones):
         raise ShapeMismatchError("yearly zone maps must share a geometry")
     return geom
+
+
+def _cell_cores(zm: ZoneMap, core_of: Callable[[CellIndex], int]) -> np.ndarray:
+    """The core id of every (flat) cell of ``zm``: ``core_of`` of its zone's
+    anchor, -1 for an unlabeled cell or a label without an anchor.
+
+    The table holds one entry per anchor with a non-negative key, sorted by
+    label behind an entry for label -1, and each cell finds its label's
+    entry by binary search: memory follows the zones, not the largest label.
+    """
+    labels = sorted(label for label in zm.anchors if label >= 0)
+    ids = np.array([-1] + [core_of(zm.anchors[label]) for label in labels], dtype=np.intp)
+    keys = np.array([-1] + labels, dtype=np.int64)
+    flat = zm.labels.ravel()
+    slot = np.searchsorted(keys, flat, side="right") - 1
+    return np.where(keys[slot] == flat, ids[slot], -1)
 
 
 def build_cores(
@@ -380,13 +403,7 @@ def build_cores(
         # holds the (flat) cell.
         zone_hit = np.zeros((len(groups), geom.nrows * geom.ncols), dtype=bool)
         for zm in yearly_zones:
-            top = max([int(zm.labels.max()), *zm.anchors])
-            # One spare trailing slot: label -1 (unlabeled) indexes it and reads -1.
-            label_core = np.full(top + 2, -1, dtype=np.intp)
-            for label, anchor in zm.anchors.items():
-                if label >= 0:
-                    label_core[label] = core_of.get(anchor, -1)
-            core_ids = label_core[zm.labels.ravel()]
+            core_ids = _cell_cores(zm, lambda anchor: core_of.get(anchor, -1))
             hit = np.flatnonzero(core_ids >= 0)
             zone_hit[core_ids[hit], hit] = True
         for extent, row in zip(extents, zone_hit):
@@ -408,6 +425,14 @@ def build_cores(
     ]
 
 
+def _check_thresholds(theta_high: float, theta_dom: float) -> None:
+    if not (0.0 < theta_dom <= theta_high <= 1.0):
+        raise ParameterError(
+            f"thresholds must satisfy 0 < theta_dom <= theta_high <= 1, "
+            f"got theta_dom={theta_dom}, theta_high={theta_high}"
+        )
+
+
 def classify_core(
     core: Core,
     table: FocusFrequencyTable,
@@ -419,11 +444,7 @@ def classify_core(
     CHD when any member reaches ``theta_high``; else CLD when any member
     reaches ``theta_dom``; else CND.
     """
-    if not (0.0 < theta_dom <= theta_high <= 1.0):
-        raise ParameterError(
-            f"thresholds must satisfy 0 < theta_dom <= theta_high <= 1, "
-            f"got theta_dom={theta_dom}, theta_high={theta_high}"
-        )
+    _check_thresholds(theta_high, theta_dom)
     freqs = [table.counts[c] / table.total_years for c in core.member_cells]
     top = max(freqs)
     if top >= theta_high:
@@ -431,35 +452,6 @@ def classify_core(
     if top >= theta_dom:
         return CLASS_CLD
     return CLASS_CND
-
-
-def _translate_to_cores(
-    zm: ZoneMap,
-    member_to_core: Mapping[CellIndex, int],
-    members: np.ndarray,
-    member_ids: np.ndarray,
-) -> np.ndarray:
-    """Zone labels -> core ids: a zone maps to the core holding its anchor,
-    else to the core with the Chebyshev-nearest member (ties to smaller id);
-    a label without an anchor maps to -1.
-
-    ``members`` holds every core member cell as a row and ``member_ids`` the
-    id of its core."""
-    if not zm.anchors:
-        return np.full(zm.labels.shape, -1, dtype=np.int32)
-    # Sized past every label as well as every anchor, so a label without an
-    # anchor reads -1; one spare trailing slot: label -1 indexes it and reads -1.
-    top = max([int(zm.labels.max()), *zm.anchors])
-    lut = np.full(top + 2, -1, dtype=np.int32)
-    for label, anchor in zm.anchors.items():
-        if label < 0:
-            continue
-        cid = member_to_core.get(anchor)
-        if cid is None:
-            dist = np.abs(members - anchor).max(axis=1)
-            cid = member_ids[np.lexsort((member_ids, dist))[0]]
-        lut[label] = cid
-    return lut[zm.labels]
 
 
 def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -> ZoneMap:
@@ -481,10 +473,18 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
             member_to_core.setdefault(cell, core.id)
     members = np.array([cell for core in cores for cell in core.member_cells]).reshape(-1, 2)
     member_ids = np.array([core.id for core in cores for _ in core.member_cells])
+
+    def core_of(anchor: CellIndex) -> int:
+        # The core holding the anchor, else the core with the Chebyshev-nearest
+        # member, ties to the smaller id.
+        if anchor in member_to_core:
+            return member_to_core[anchor]
+        dist = np.abs(members - anchor).max(axis=1)
+        return member_ids[np.lexsort((member_ids, dist))[0]]
+
     codes = []
     for zm in yearly_zones:
-        translated = _translate_to_cores(zm, member_to_core, members, member_ids)
-        translated = translated.ravel().astype(np.intp)
+        translated = _cell_cores(zm, core_of)
         # Only ids 0..ncores-1 vote; unlabeled cells (-1) and other ids do not.
         voted = np.flatnonzero((translated >= 0) & (translated < ncores))
         codes.append(translated[voted] * ncells + voted)
@@ -534,6 +534,12 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
     if stack.n_years == 0:
         raise EmptyDomainError("stack has no years")
     _check_orientation(params.orientation)
+    theta_dom = params.theta_dom
+    if theta_dom is None:
+        # Derived from the frequent threshold, clamped so the CHD bar stays
+        # on top when min_years/total_years exceeds it (short stacks).
+        theta_dom = min(params.min_years / stack.n_years, params.theta_high)
+    _check_thresholds(params.theta_high, theta_dom)
     notices: list[str] = []
 
     yearly_foci: dict[int, tuple[FocusPoint, ...]] = {}
@@ -551,16 +557,9 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
         if unreached:
             notices.append(f"year {year}: {unreached} unmasked cells unreachable from any focus")
 
-    total_years = stack.n_years
     table = mine_frequent_foci(
-        [yearly_foci[y] for y in stack.years], total_years, params.min_years
+        [yearly_foci[y] for y in stack.years], stack.n_years, params.min_years
     )
-    if params.theta_dom is not None:
-        theta_dom = params.theta_dom
-    else:
-        # Derived from the frequent threshold, clamped so the CHD bar stays
-        # on top when min_years/total_years exceeds it (short stacks).
-        theta_dom = min(params.min_years / total_years, params.theta_high)
 
     zone_list = [yearly_zones[y] for y in stack.years]
     cores = build_cores(table, params.mode, params.radius, zone_list)

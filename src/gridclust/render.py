@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import __version__
+from .errors import ParameterError
 from .gridcore import ZoneMap
 
 PALETTE = (
@@ -44,6 +45,8 @@ def cells_svg(
 ) -> str:
     """Render labelled ``(row, col)`` cells on a ``shape`` grid, in the given
     order; the rest of the grid is drawn as unlabelled."""
+    if cell_px < 1:
+        raise ParameterError(f"cell_px must be >= 1, got {cell_px}")
     nrows, ncols = shape
     width, height = ncols * cell_px, nrows * cell_px
     parts = [

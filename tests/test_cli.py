@@ -164,6 +164,13 @@ class TestKmeansCommand:
         assert "k = 2 more than once" in capsys.readouterr().err
         assert not (out / "kmeans_report.json").exists()
 
+    def test_negative_seed_exits_two(self, demo_dataset, tmp_path, capsys):
+        root, _ = demo_dataset
+        out = tmp_path / "neg"
+        assert run("kmeans", "--dataset", root, "--k", "2", "--seed", "-1", "--out", out) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_internal_error_exits_two(self, demo_dataset, tmp_path, capsys, monkeypatch):
         true_centroids = kmeans._centroids
         monkeypatch.setattr(
@@ -198,6 +205,17 @@ class TestMisticCommand:
         names += [f"zones_{y}.csv" for y in range(1990, 1996)]
         for name in names:
             assert (mi_out / name).read_bytes() == (out_cr / name).read_bytes(), name
+
+    def test_radius_beyond_the_grid_matches_the_grid_span(self, demo_dataset, tmp_path):
+        root, _ = demo_dataset
+        outs = {}
+        for radius in ("23", "1000000000"):
+            outs[radius] = tmp_path / radius
+            assert run("mistic", "--dataset", root, "--min-years", "3", "--mode", "cr",
+                       "--radius", radius, "--out", outs[radius]) == 0
+        names = ["cores.json", "consensus.csv", "map_consensus.svg"]
+        for name in names:
+            assert (outs["23"] / name).read_bytes() == (outs["1000000000"] / name).read_bytes()
 
     def test_threshold_above_span_still_builds_cores(self, demo_dataset, tmp_path):
         root, _ = demo_dataset
@@ -240,6 +258,15 @@ class TestMisticCommand:
         cores = json.loads((out / "cores.json").read_text())
         assert cores["cores"] == []
         assert (out / "consensus.csv").read_text() == "row,col,label\n"
+
+    def test_theta_high_above_one_exits_two_without_foci(self, tmp_path, capsys):
+        ds = tmp_path / "flat"
+        write_gts(ds, manifest_doc(years=(1995,)), {1995: constant_lines(360, 4)})
+        out = tmp_path / "out"
+        assert run("mistic", "--dataset", ds, "--min-years", "1", "--theta-high", "5",
+                   "--out", out) == 2
+        assert "thresholds must satisfy" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompareCommand:
@@ -355,6 +382,22 @@ class TestRenderCommand:
         svg = (out / "map_consensus.svg").read_text()
         assert svg.startswith("<?xml")
         assert "<svg" in svg
+
+
+@pytest.mark.parametrize("cell_px", ["0", "-3"])
+@pytest.mark.parametrize("command", ["kmeans", "mistic", "render"])
+def test_cell_size_below_one_pixel_exits_two(demo_dataset, mi_out, tmp_path, capsys,
+                                             command, cell_px):
+    root, _ = demo_dataset
+    args = {
+        "kmeans": ["--dataset", root, "--k", "2", "--restarts", "1"],
+        "mistic": ["--dataset", root, "--min-years", "3"],
+        "render": [mi_out / "consensus.csv"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, *args, "--cell-px", cell_px, "--out", out) == 2
+    assert f"error: cell_px must be >= 1, got {cell_px}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRunMeta:

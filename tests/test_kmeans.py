@@ -125,6 +125,13 @@ class TestRunKmeans:
         with pytest.raises(ParameterError):
             run_kmeans(feats, 2, max_iter=0)
 
+    def test_negative_seed_rejected(self):
+        feats = FeatureMatrix.from_matrix(np.arange(4.0))
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            run_kmeans(feats, 2, seed=-1)
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            sweep_k(feats, [2], seed=-3, restarts=5)
+
     def test_duplicate_points_never_leave_empty_clusters(self):
         feats = FeatureMatrix.from_matrix([0.0, 0.0, 0.0, 1.0])
         run = run_kmeans(feats, 3, seed=0)

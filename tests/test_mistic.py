@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gridclust import mistic
 from gridclust.errors import EmptyDomainError, ParameterError
 from gridclust.gridcore import CELSIUS, CellIndex, ZoneMap, neighbors8
 from gridclust.mistic import (
@@ -363,6 +365,14 @@ class TestConsensus:
         cons = consensus_zone_map([self.zone(labels, anchors)], [core])
         assert cons.labels.tolist() == [[0, -1, -1]]
 
+    def test_negative_anchor_key_is_ignored(self):
+        y = self.zone([[0, -1, -1]], {0: CellIndex(0, 0), -1: CellIndex(0, 2)})
+        cons = consensus_zone_map([y], self.cores_two())
+        assert cons.labels.tolist() == [[0, -1, -1]]
+        table = table_from_counts({(0, 0): 1, (0, 2): 1}, 1)
+        cores = build_cores(table, "cc", 1, [y])
+        assert [sorted(core.extent) for core in cores] == [[(0, 0)], [(0, 2)]]
+
     def test_unlabeled_everywhere_stays_unlabeled(self):
         cores = self.cores_two()
         y = self.zone([[-1, -1, -1]], {})
@@ -375,6 +385,37 @@ class TestConsensus:
         y = self.zone([[0]], {0: CellIndex(0, 0)})
         with pytest.raises(ParameterError):
             consensus_zone_map([y], [])
+
+
+class TestLargeLabels:
+    """Zone labels near int32 max reach no table sized by the largest label."""
+
+    BIG = 2**31 - 1
+
+    def traced(self, fn):
+        fn()  # a first call may import modules lazily; trace a later one
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_cores_and_consensus_stay_small(self):
+        # Label BIG is anchored on (0, 1), a cell of no core: it adds to no
+        # extent, and in the consensus (0, 1) lies 1 from a member of both
+        # cores, so the tie goes to core 0.
+        zm = ZoneMap(
+            planar_geom(1, 3), [[0, self.BIG, -1]], {0: CellIndex(0, 0), self.BIG: CellIndex(0, 1)}
+        )
+        table = table_from_counts({(0, 0): 2, (0, 2): 1}, 2)
+        cores, peak = self.traced(lambda: build_cores(table, "cc", 1, [zm]))
+        assert peak < 2**20
+        assert [sorted(core.extent) for core in cores] == [[(0, 0)], [(0, 2)]]
+        consensus, peak = self.traced(lambda: consensus_zone_map([zm], cores))
+        assert peak < 2**20
+        assert consensus.labels.tolist() == [[0, 0, -1]]
 
 
 class TestRunMistic:
@@ -410,6 +451,19 @@ class TestRunMistic:
         b = run_mistic(stack, params)
         assert np.array_equal(a.consensus.labels, b.consensus.labels)
         assert a.notices == b.notices
+
+    @pytest.mark.parametrize(
+        "theta_high, theta_dom", [(5.0, None), (0.3, 0.5), (0.6, 0.0), (0.0, None)]
+    )
+    def test_thresholds_checked_before_the_years(self, monkeypatch, theta_high, theta_dom):
+        def per_year_step(*args, **kwargs):
+            raise AssertionError("the per-year loop ran")
+
+        monkeypatch.setattr(mistic, "detect_focus_points", per_year_step)
+        stack = _stack_of([make_field(np.full((3, 3), 2.0), units=CELSIUS)])
+        params = MisticParams(min_years=1, theta_high=theta_high, theta_dom=theta_dom)
+        with pytest.raises(ParameterError, match="thresholds must satisfy"):
+            run_mistic(stack, params)
 
     def test_theta_dom_defaults_to_frequency_threshold(self):
         stack, _ = make_planted_stack(nrows=12, ncols=12, n_years=5, b_exact=2, seed=9)

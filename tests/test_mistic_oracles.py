@@ -234,6 +234,8 @@ def test_components_match_scipy_on_long_shuffled_paths():
 @given(cells=cell_layouts(), radius=st.integers(1, 6))
 @example(cells=[(0, 0)], radius=1)
 @example(cells=[(10**6, 3)], radius=6)
+@example(cells=[(0, 0), (7, 10**6), (10**6, 2)], radius=10**9)
+@example(cells=[(0, 0), (7, 10**6), (10**6, 2)], radius=2**40)
 def test_close_pairs_match_query_pairs(cells, radius):
     cells = np.array(cells, dtype=np.int64)
     heads, tails = _close_pairs(cells, radius)
@@ -359,3 +361,47 @@ def test_consensus_with_unanchored_labels_matches_loop_translation(stack, orient
     cores = data.draw(foreign_cores(mask.shape))
     got = consensus_zone_map(yearly_zones, cores).labels
     assert np.array_equal(got, oracle_consensus_labels(yearly_zones, cores))
+
+
+@st.composite
+def sparse_relabelings(draw, zm):
+    """``zm`` with each zone label moved to a distinct drawn label up to
+    int32 max; some anchors may be dropped."""
+    old = sorted(zm.anchors)
+    new = draw(st.lists(st.integers(0, 2**31 - 1), min_size=len(old), max_size=len(old),
+                        unique=True))
+    lut = dict(zip(old, new))
+    labels = np.vectorize(lambda v: lut.get(v, -1), otypes=[np.int64])(zm.labels)
+    kept = draw(st.sets(st.sampled_from(old))) if old else set()
+    return ZoneMap(zm.geometry, labels, {lut[k]: zm.anchors[k] for k in kept})
+
+
+@given(
+    stack=tie_heavy_stacks(),
+    orientation=orientations,
+    mode=st.sampled_from(["cc", "cr"]),
+    radius=radii,
+    data=st.data(),
+)
+def test_cores_and_consensus_with_sparse_large_labels_match_loop_versions(
+    stack, orientation, mode, radius, data
+):
+    values, mask = stack
+    if not mask.any():
+        return
+    yearly_foci, yearly_zones = [], []
+    for year, year_values in enumerate(values):
+        field = make_field(year_values, mask=mask)
+        foci = detect_focus_points(field, orientation, year=year)
+        yearly_foci.append(foci)
+        if foci:
+            zm = watershed_zones(field, foci, orientation)
+            yearly_zones.append(data.draw(sparse_relabelings(zm)))
+        else:
+            yearly_zones.append(ZoneMap(field.geometry, np.full(mask.shape, -1), {}))
+    table = mine_frequent_foci(yearly_foci, len(values), 1)
+    cores = build_cores(table, mode, radius, yearly_zones)
+    assert cores == oracle_build_cores(table, mode, radius, yearly_zones)
+    for used in ([cores] if cores else []) + [data.draw(foreign_cores(mask.shape))]:
+        got = consensus_zone_map(yearly_zones, used).labels
+        assert np.array_equal(got, oracle_consensus_labels(yearly_zones, used))
