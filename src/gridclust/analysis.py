@@ -96,19 +96,85 @@ def adjusted_rand(table: ContingencyTable) -> float:
     return (index - expected) / (maximum - expected)
 
 
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of the rows of ``cost`` to distinct columns.
+
+    A numpy port of the rectangular shortest-augmenting-path solver of
+    ``scipy.optimize.linear_sum_assignment`` (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016) that keeps its
+    arithmetic and tie rules, so it returns the same ``(rows, cols)``
+    int64 arrays.  Costs must be finite.  A tall matrix is solved
+    transposed, its pairs sorted by original row.  Each augmenting step
+    scans the remaining columns as one array; the columns start as
+    ``[nc-1, ..., 0]`` (a constant square matrix gives the identity, scipy
+    gh-11602), and the picked column's slot takes the last remaining
+    one.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    if not np.isfinite(c).all():
+        raise ParameterError("assignment costs must be finite")
+    transpose = c.shape[1] < c.shape[0]
+    if transpose:
+        c = np.ascontiguousarray(c.T)
+    nr, nc = c.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    path = np.full(nc, -1, dtype=np.int64)
+    col4row = np.full(nr, -1, dtype=np.int64)
+    row4col = np.full(nc, -1, dtype=np.int64)
+    for cur in range(nr):
+        spc = np.full(nc, np.inf)
+        remaining = np.arange(nc - 1, -1, -1)
+        n_rem, min_val, i = nc, 0.0, cur
+        seen_rows, seen_cols = [], []
+        while True:
+            seen_rows.append(i)
+            rem = remaining[:n_rem]
+            reduced = min_val + c[i, rem] - u[i] - v[rem]
+            lower = reduced < spc[rem]
+            spc[rem[lower]] = reduced[lower]
+            path[rem[lower]] = i
+            costs = spc[rem]
+            min_val = costs.min()
+            # The first lowest slot, unless a later lowest one is unassigned.
+            ties = np.flatnonzero(costs == min_val)
+            free = ties[row4col[rem[ties]] == -1]
+            index = free[-1] if free.size else ties[0]
+            j = int(rem[index])
+            seen_cols.append(j)
+            n_rem -= 1
+            remaining[index] = remaining[n_rem]
+            if row4col[j] == -1:
+                break
+            i = int(row4col[j])
+        # Dual update over the rows and columns this search visited.
+        u[cur] += min_val
+        others = np.array(seen_rows[1:], dtype=np.int64)
+        u[others] += min_val - spc[col4row[others]]
+        v[seen_cols] -= min_val - spc[seen_cols]
+        while True:  # augment along the path back to ``cur``
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row, kind="stable")
+        return col4row[order], order
+    return np.arange(nr, dtype=np.int64), col4row
+
+
 def matched_jaccard(
     table: ContingencyTable,
 ) -> list[tuple[int | None, int | None, float]]:
     """Optimal one-to-one label matching by total Jaccard overlap.
 
-    Solved with the Hungarian method on the negated Jaccard matrix
-    (``|A_i & B_j| / |A_i | B_j|``).  Returns ``(label_a, label_b, score)``
+    Solved by :func:`_linear_sum_assignment`, a numpy port of scipy's
+    shortest-augmenting-path solver, on the negated Jaccard matrix
+    (``|A_i & B_j| / |A_i | B_j|``); it returns scipy's pairs, ties
+    included, without loading scipy.  Returns ``(label_a, label_b, score)``
     triples; labels left unmatched by the cardinality gap are reported with
-    a ``None`` partner and score 0.  scipy is imported here, not at module
-    level, so that only ``compare`` pays for loading it.
+    a ``None`` partner and score 0.
     """
-    from scipy.optimize import linear_sum_assignment
-
     na, nb = len(table.labels_a), len(table.labels_b)
     if na == 0 or nb == 0:
         return []
@@ -117,7 +183,7 @@ def matched_jaccard(
     col = table.col_totals().astype(np.float64)[None, :]
     union = row + col - counts
     jac = np.divide(counts, union, out=np.zeros_like(counts), where=union > 0)
-    rows, cols = linear_sum_assignment(-jac)
+    rows, cols = _linear_sum_assignment(-jac)
     matches: list[tuple[int | None, int | None, float]] = []
     used_a, used_b = set(), set()
     for i, j in zip(rows, cols):

@@ -295,34 +295,36 @@ def _close_pairs(cells: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray
     """Every pair of distinct rows of the (n, 2) ``cells``, once, within
     Chebyshev distance ``radius``, as two index arrays.
 
-    Cells become flat keys ``row * w + col`` with the smallest row and col
-    taken off and ``w`` the col span plus ``2 * radius + 1``, the radius
-    clamped to the largest span first, so the column window ``key ± radius``
-    of one row never reaches into another.  With the keys sorted once, each
-    row offset that takes some cell to an occupied row costs two binary
-    searches; the others are skipped.
+    Cells become flat keys ``rank * w + col``, with ``rank`` the cell's row
+    among the occupied rows, the smallest col taken off and ``w`` the col
+    span plus ``2 * radius + 1``, the radius clamped to the largest span
+    first, so the column window ``key ± radius`` of one row never reaches
+    into another and the keys stay below ``n * 3 * 2**32`` for any int32
+    cells.  With the keys sorted once, each rank offset ``d`` costs two
+    binary searches for the cells that have an occupied row ``d`` ranks on
+    within the radius.
     """
-    rows = cells[:, 0] - cells[:, 0].min()
+    occupied, rank = np.unique(cells[:, 0], return_inverse=True)
     cols = cells[:, 1] - cells[:, 1].min()
-    radius = min(radius, int(max(rows.max(), cols.max())))
+    radius = min(radius, int(max(occupied[-1] - occupied[0], cols.max())))
     width = int(cols.max()) + 2 * radius + 1
-    keys = rows * width + cols
+    keys = rank * width + cols
     order = np.argsort(keys, kind="stable")
-    keys, rows = keys[order], rows[order]
-    occupied = np.append(np.unique(rows), rows.max() + radius + 1)  # sentinel past the radius
-    index = np.arange(len(keys))
+    keys = keys[order]
+    # How many occupied rows past its own lie within the radius of each cell.
+    reach = np.searchsorted(occupied, occupied + radius, side="right") - np.arange(len(occupied)) - 1
+    reach = reach[rank[order]]
     heads, tails = [], []
-    dr = 0
-    while dr <= radius:
-        centre = keys + dr * width
-        lo = index + 1 if dr == 0 else np.searchsorted(keys, centre - radius)
+    src = np.arange(len(keys))
+    for d in range(int(reach.max()) + 1):
+        src = src[reach[src] >= d]
+        centre = keys[src] + d * width
+        lo = src + 1 if d == 0 else np.searchsorted(keys, centre - radius)
         hi = np.searchsorted(keys, centre + radius, side="right")
         count = hi - lo
         ends = np.cumsum(count)
-        heads.append(np.repeat(index, count))
+        heads.append(np.repeat(src, count))
         tails.append(np.arange(ends[-1]) + np.repeat(lo - (ends - count), count))
-        # The next offset that takes some cell to an occupied row.
-        dr = int((occupied[np.searchsorted(occupied, rows + dr, side="right")] - rows).min())
     heads, tails = np.concatenate(heads), np.concatenate(tails)
     return order[heads], order[tails]
 

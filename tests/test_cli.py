@@ -522,7 +522,7 @@ def dir_bytes(path):
 
 
 class TestStartUpWithoutScipy:
-    """Only ``compare`` loads scipy; the other commands never import it."""
+    """No command loads scipy: the CLI runs with every scipy import blocked."""
 
     def test_import_loads_no_scipy(self):
         proc = fresh_python(
@@ -536,15 +536,33 @@ class TestStartUpWithoutScipy:
         labels = mi_out / "consensus.csv"
         render_out = tmp_path / "render"
         assert run("render", labels, "--out", render_out) == 0
+        elevation = tmp_path / "elev.csv"
+        shutil.copy(root / "elevation.csv", elevation)
+        compares = {
+            "neither": [],
+            "dataset": ["--dataset", root],
+            "elevation": ["--dataset", root, "--elevation", elevation],
+        }
+        for source, extra in compares.items():
+            assert run("compare", km_out / "labels_k2.csv", labels, *extra,
+                       "--out", tmp_path / f"compare_{source}") == 0
         argvs = [
             ["validate", "--dataset", root],
             ["kmeans", "--dataset", root, "--k", "2,3", "--restarts", "3",
              "--out", tmp_path / "km"],
             ["mistic", "--dataset", root, "--min-years", "3", "--out", tmp_path / "mi"],
             ["render", labels, "--out", tmp_path / "blocked_render"],
+        ] + [
+            ["compare", km_out / "labels_k2.csv", labels, *extra,
+             "--out", tmp_path / f"blocked_compare_{source}"]
+            for source, extra in compares.items()
         ]
         proc = fresh_python(SCIPY_BLOCKED, json.dumps([[str(a) for a in v] for v in argvs]))
         assert proc.returncode == 0, proc.stderr
         assert dir_bytes(tmp_path / "km") == dir_bytes(km_out)
         assert dir_bytes(tmp_path / "mi") == dir_bytes(mi_out)
         assert dir_bytes(tmp_path / "blocked_render") == dir_bytes(render_out)
+        for source in compares:
+            assert dir_bytes(tmp_path / f"blocked_compare_{source}") == dir_bytes(
+                tmp_path / f"compare_{source}"
+            )

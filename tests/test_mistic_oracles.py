@@ -236,6 +236,7 @@ def test_components_match_scipy_on_long_shuffled_paths():
 @example(cells=[(10**6, 3)], radius=6)
 @example(cells=[(0, 0), (7, 10**6), (10**6, 2)], radius=10**9)
 @example(cells=[(0, 0), (7, 10**6), (10**6, 2)], radius=2**40)
+@example(cells=[(0, 0), (2**31 - 1, 2**31 - 1), (2**31 - 1, 0)], radius=2**31)
 def test_close_pairs_match_query_pairs(cells, radius):
     cells = np.array(cells, dtype=np.int64)
     heads, tails = _close_pairs(cells, radius)
