@@ -224,8 +224,6 @@ class ClusterSummaryReport:
     clusters: tuple[ClusterSummary, ...]
     fraction_below_low_band: float | None
     fraction_above_high_band: float | None
-    low_band_m: float = ELEVATION_LOW_BAND_M
-    high_band_m: float = ELEVATION_HIGH_BAND_M
 
 
 def _masked_mean(field: ScalarField, member: np.ndarray) -> float | None:
@@ -240,13 +238,13 @@ def cluster_summary(
     elevation: ScalarField | None = None,
     slope: ScalarField | None = None,
     stack: AnnualMeanStack | None = None,
-    low_band_m: float = ELEVATION_LOW_BAND_M,
-    high_band_m: float = ELEVATION_HIGH_BAND_M,
 ) -> ClusterSummaryReport:
     """Per-cluster mean elevation/slope and value min/mean/max over all years.
 
     Terrain statistics are computed over unmasked member cells only and are
     omitted (None) for clusters whose members carry no valid terrain data.
+    The band fractions use ``ELEVATION_LOW_BAND_M`` and
+    ``ELEVATION_HIGH_BAND_M``.
     """
     shape = zone_map.geometry.shape
     for f in (elevation, slope):
@@ -275,15 +273,13 @@ def cluster_summary(
 
     with_elev = [s for s in summaries if s.mean_elevation is not None]
     if with_elev:
-        below = sum(1 for s in with_elev if s.mean_elevation < low_band_m)
-        above = sum(1 for s in with_elev if s.mean_elevation > high_band_m)
+        below = sum(1 for s in with_elev if s.mean_elevation < ELEVATION_LOW_BAND_M)
+        above = sum(1 for s in with_elev if s.mean_elevation > ELEVATION_HIGH_BAND_M)
         frac_below = below / len(with_elev)
         frac_above = above / len(with_elev)
     else:
         frac_below = frac_above = None
-    return ClusterSummaryReport(
-        tuple(summaries), frac_below, frac_above, low_band_m, high_band_m
-    )
+    return ClusterSummaryReport(tuple(summaries), frac_below, frac_above)
 
 
 @dataclass(frozen=True)
@@ -293,21 +289,12 @@ class ComparisonReport:
     table: ContingencyTable
     ari: float
     matches: tuple[tuple[int | None, int | None, float], ...]
-    params_a: dict
-    params_b: dict
 
 
-def compare_maps(
-    map_a: ZoneMap,
-    map_b: ZoneMap,
-    params_a: dict | None = None,
-    params_b: dict | None = None,
-) -> ComparisonReport:
+def compare_maps(map_a: ZoneMap, map_b: ZoneMap) -> ComparisonReport:
     table = contingency(map_a, map_b)
     return ComparisonReport(
         table=table,
         ari=adjusted_rand(table),
         matches=tuple(matched_jaccard(table)),
-        params_a=dict(params_a or {}),
-        params_b=dict(params_b or {}),
     )

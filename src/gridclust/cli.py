@@ -24,7 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import cluster_summary, compare_maps
+from .analysis import (
+    ELEVATION_HIGH_BAND_M,
+    ELEVATION_LOW_BAND_M,
+    cluster_summary,
+    compare_maps,
+)
 from .errors import GridClustError, ParameterError
 from .gridcore import PLANAR, GridGeometry, ZoneMap, slope_field
 from .ingest import (
@@ -228,7 +233,7 @@ def _parse_k_list(text: str) -> list[int]:
 def _cmd_kmeans(args) -> int:
     ks = _parse_k_list(args.k)
     series, stack, inputs = _load(args)
-    features = build_features(stack, standardize=True)
+    features = build_features(stack)
     results = sweep_k(features, ks, seed=args.seed, restarts=args.restarts)
 
     files = {}
@@ -313,7 +318,7 @@ def _summary_doc(report) -> dict:
         ],
         "fraction_below_1500_m": report.fraction_below_low_band,
         "fraction_above_2000_m": report.fraction_above_high_band,
-        "elevation_bands_m": [report.low_band_m, report.high_band_m],
+        "elevation_bands_m": [ELEVATION_LOW_BAND_M, ELEVATION_HIGH_BAND_M],
     }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import calendar as _pycalendar
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -99,6 +100,9 @@ class GridGeometry:
     def __post_init__(self) -> None:
         if self.mode not in GRID_MODES:
             raise ParameterError(f"unknown grid mode {self.mode!r}")
+        for name in ("origin_lat", "origin_lon", "cell_dlat", "cell_dlon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.cell_dlat > 0 and self.cell_dlon > 0):
             raise ParameterError("cell sizes must be positive")
         if self.nrows < 1 or self.ncols < 1:
@@ -185,9 +189,6 @@ class ScalarField:
     @property
     def n_valid(self) -> int:
         return int(self.mask.sum())
-
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.mask]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .errors import (
     EmptyDomainError,
     ParameterError,
     ShapeMismatchError,
-    YearLookupError,
 )
 from .gridcore import (
     FIXED360,
@@ -103,11 +102,6 @@ class DatasetManifest:
                 f"missing_value {mv} lies inside the physical temperature range "
                 f"{_TEMP_RANGE}; pick a sentinel outside it"
             )
-
-    @property
-    def payload_files(self) -> tuple[str, ...]:
-        """Relative per-year payload paths implied by the years list."""
-        return tuple(f"{DATA_DIR}/{year}.csv" for year in self.years)
 
     def to_json_dict(self) -> dict:
         return {
@@ -373,12 +367,6 @@ class AnnualMeanStack:
     @property
     def n_years(self) -> int:
         return len(self.years)
-
-    def field_for(self, year: int) -> ScalarField:
-        try:
-            return self.fields[self.years.index(year)]
-        except ValueError:
-            raise YearLookupError(f"year {year} not in stack") from None
 
 
 def annual_mean(

@@ -3,8 +3,8 @@
 Lloyd iterations with squared-Euclidean distance, k-means++ seeding from a
 deterministic generator, lowest-id tie-breaking, and farthest-point repair
 of empty clusters.  The stopping rule is assignment stability: iterate until
-the partition is identical to the one from the previous pass (an inertia
-tolerance and an iteration cap are available as additional guards).
+the partition is identical to the one from the previous pass, with an
+iteration cap as a guard.
 
 The assignment step prunes with exact Hamerly bounds: a cell whose distance
 to its own centroid is, by a strict and rounding-safe margin, below a lower
@@ -54,6 +54,8 @@ class FeatureMatrix:
             raise ParameterError("means/scales must have one entry per feature")
         if not np.all(scales > 0):
             raise ParameterError("scales must be strictly positive")
+        if not np.isfinite(mat).all():
+            raise ParameterError("feature values must be finite")
         for arr in (mat, means, scales):
             arr.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -61,10 +63,6 @@ class FeatureMatrix:
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "cells", tuple(CellIndex(*c) for c in self.cells))
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-
-    @property
-    def n_cells(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, matrix) -> "FeatureMatrix":
@@ -115,26 +113,21 @@ class ClusterMap:
         return ZoneMap(self.geometry, self.labels, {})
 
 
-def build_features(stack: AnnualMeanStack, standardize: bool = True) -> FeatureMatrix:
+def build_features(stack: AnnualMeanStack) -> FeatureMatrix:
     """Assemble per-cell annual-mean vectors over the stack's combined mask.
 
-    With ``standardize`` each component is z-scored across cells; a component
-    with zero variance keeps scale 1 and becomes all zeros.
+    Each component is z-scored across cells; a component with zero variance
+    keeps scale 1 and becomes all zeros.
     """
     rows, cols = np.nonzero(stack.mask)
     if rows.size == 0:
         raise EmptyDomainError("no cell is valid in every year")
     cells = tuple(CellIndex(int(r), int(c)) for r, c in zip(rows, cols))
     mat = np.column_stack([f.values[rows, cols] for f in stack.fields])
-    p = mat.shape[1]
-    if standardize:
-        means = mat.mean(axis=0)
-        stds = mat.std(axis=0)
-        scales = np.where(stds > 0, stds, 1.0)
-        mat = (mat - means) / scales
-    else:
-        means = np.zeros(p)
-        scales = np.ones(p)
+    means = mat.mean(axis=0)
+    stds = mat.std(axis=0)
+    scales = np.where(stds > 0, stds, 1.0)
+    mat = (mat - means) / scales
     return FeatureMatrix(stack.geometry, cells, mat, stack.years, means, scales)
 
 
@@ -223,7 +216,6 @@ def run_kmeans(
     k: int,
     seed: int = 0,
     max_iter: int = 300,
-    tol: float = 0.0,
 ) -> ClusterMap:
     """One deterministic Lloyd run from a k-means++ initialization.
 
@@ -271,7 +263,6 @@ def run_kmeans(
     slack = 1e-9 * (X.shape[1] + 1) * (1.0 + radius)
 
     prev_labels: np.ndarray | None = None
-    prev_inertia = np.inf
     history: list[float] = []
     converged_by = "max_iter"
     labels = np.zeros(n, dtype=np.int64)
@@ -309,11 +300,7 @@ def run_kmeans(
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             converged_by = "stable"
             break
-        if prev_labels is not None and tol > 0 and (prev_inertia - inertia) < tol:
-            converged_by = "tol"
-            break
         prev_labels = labels.copy()
-        prev_inertia = inertia
 
         new_centroids = _centroids(X, labels, k)
         step = new_centroids - centroids

@@ -69,9 +69,9 @@ def scatter_svg(
     series: list[tuple[str, list[tuple[float, float, str]]]],
     xlabel: str,
     ylabel: str,
-    size: int = 480,
 ) -> str:
     """Scatter chart of (x, y, point label) series with a small legend."""
+    size = 480
     margin = 56
     plot = size - 2 * margin
     xs = [p[0] for _, pts in series for p in pts]

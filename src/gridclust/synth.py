@@ -169,27 +169,23 @@ def write_planted_dataset(
     b_exact: int = 3,
     seed: int = 77,
     start_year: int = 1990,
-    calendar_kind: str = FIXED360,
     variable: str = "tmax",
-    masked_corner: bool = True,
-    with_elevation: bool = True,
 ) -> PlantedTruth:
     """Write a GTS daily dataset whose annual means carry the planted pattern.
 
     Daily values are the planted annual field plus a cosine seasonal cycle
-    that sums to zero over each year.
+    that sums to zero over each year, on a 360-day calendar with the 2x2
+    corner masked, alongside a planted ``elevation.csv``.
     """
-    mask = None
-    if masked_corner:
-        mask = np.ones((nrows, ncols), dtype=bool)
-        mask[:2, :2] = False
+    mask = np.ones((nrows, ncols), dtype=bool)
+    mask[:2, :2] = False
     stack, truth = make_planted_stack(
         nrows, ncols, n_years, b_exact, seed, start_year, mask=mask
     )
     # Minimum-temperature variables plant the same structure upside down, so
     # the peaks recur as local minima (matching 'auto' orientation).
     flip = "min" in variable.lower()
-    calendar = CalendarSpec(calendar_kind)
+    calendar = CalendarSpec(FIXED360)
     data = {}
     for year, field in zip(stack.years, stack.fields):
         ndays = days_in_year(calendar, year)
@@ -207,8 +203,7 @@ def write_planted_dataset(
         variable=variable,
         missing_value=MISSING_VALUE,
     )
-    elevation = planted_elevation(truth, stack) if with_elevation else None
-    write_dataset(series, root, elevation=elevation)
+    write_dataset(series, root, elevation=planted_elevation(truth, stack))
     return truth
 
 

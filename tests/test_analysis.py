@@ -261,7 +261,6 @@ class TestClusterSummary:
 class TestCompareMaps:
     def test_report_bundles_everything(self):
         m = zone_of([[0, 0, 1, 1]])
-        report = compare_maps(m, m, {"method": "x"}, {"method": "y"})
+        report = compare_maps(m, m)
         assert report.ari == 1.0
-        assert report.params_a == {"method": "x"}
         assert len(report.matches) == 2

@@ -78,6 +78,8 @@ class TestValidate:
             ("geometry", 5, "'geometry' must be an object"),
             ("missing_value", "-999", "'missing_value' must be a number"),
             ("cell_dlat", None, "'cell_dlat' must be a number"),
+            ("origin_lat", float("nan"), "geometry invalid: origin_lat must be finite"),
+            ("cell_dlon", float("inf"), "geometry invalid: cell_dlon must be finite"),
         ],
     )
     def test_manifest_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, value, named):
@@ -300,6 +302,7 @@ class TestCompareCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["a"]["fraction_below_1500_m"] == pytest.approx(0.5)
         assert summary["a"]["fraction_above_2000_m"] == pytest.approx(0.5)
+        assert summary["a"]["elevation_bands_m"] == [1500.0, 2000.0]
         assert (out / "elev_slope.svg").exists()
 
     def test_missing_labels_file_exits_three(self, tmp_path):
@@ -508,12 +511,12 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def fresh_python(code, *args):
+def fresh_python(code, *args, cwd=None):
     env = dict(os.environ)
     src = str(Path(gridclust.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, cwd=cwd
     )
 
 

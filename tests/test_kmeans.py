@@ -53,14 +53,16 @@ class TestBuildFeatures:
     def test_direct_assembly(self):
         f1 = make_field([[10.0]], units=CELSIUS)
         f2 = make_field([[12.0]], units=CELSIUS)
-        feats = build_features(stack_from_fields([f1, f2]), standardize=False)
-        assert feats.matrix.tolist() == [[10.0, 12.0]]
+        feats = build_features(stack_from_fields([f1, f2]))
+        assert feats.means.tolist() == [10.0, 12.0]
+        assert feats.scales.tolist() == [1.0, 1.0]
+        assert feats.matrix.tolist() == [[0.0, 0.0]]
         assert feats.cells == ((0, 0),)
 
     def test_zero_variance_component_standardizes_to_zero(self):
         f1 = make_field([[7.0, 7.0]], units=CELSIUS)
         f2 = make_field([[1.0, 3.0]], units=CELSIUS)
-        feats = build_features(stack_from_fields([f1, f2]), standardize=True)
+        feats = build_features(stack_from_fields([f1, f2]))
         assert np.all(feats.matrix[:, 0] == 0.0)
         assert feats.scales[0] == 1.0
         assert feats.scales[1] > 0
@@ -74,7 +76,7 @@ class TestBuildFeatures:
     def test_masked_cells_excluded(self):
         mask = np.array([[True, False]])
         f = make_field([[1.0, 9.0]], mask=mask, units=CELSIUS)
-        feats = build_features(stack_from_fields([f]), standardize=False)
+        feats = build_features(stack_from_fields([f]))
         assert feats.cells == ((0, 0),)
 
     def test_empty_domain(self):
@@ -124,6 +126,11 @@ class TestRunKmeans:
             run_kmeans(feats, 5)
         with pytest.raises(ParameterError):
             run_kmeans(feats, 2, max_iter=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ParameterError, match="feature values must be finite"):
+            FeatureMatrix.from_matrix([[0.0], [bad], [1.0]])
 
     def test_negative_seed_rejected(self):
         feats = FeatureMatrix.from_matrix(np.arange(4.0))
@@ -213,7 +220,7 @@ class TestRunKmeans:
     def test_masked_cells_unlabeled(self):
         mask = np.array([[True, False], [True, True]])
         f1 = make_field([[0.0, 0.0], [5.0, 5.1]], mask=mask, units=CELSIUS)
-        feats = build_features(stack_from_fields([f1]), standardize=False)
+        feats = build_features(stack_from_fields([f1]))
         run = run_kmeans(feats, 2, seed=0)
         assert run.labels[0, 1] == -1
         assert (run.labels >= 0).sum() == 3

@@ -14,7 +14,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gridclust.cli import main
@@ -108,10 +108,10 @@ MALFORMED = {
     ),
     "years": lambda v: v != [YEAR],
     "mode": lambda v: v not in ("planar", "geographic"),
-    "origin_lat": lambda v: not is_number(v),
-    "origin_lon": lambda v: not is_number(v),
-    "cell_dlat": lambda v: not (is_number(v) and v > 0),
-    "cell_dlon": lambda v: not (is_number(v) and v > 0),
+    "origin_lat": lambda v: not (is_number(v) and math.isfinite(v)),
+    "origin_lon": lambda v: not (is_number(v) and math.isfinite(v)),
+    "cell_dlat": lambda v: not (is_number(v) and math.isfinite(v) and v > 0),
+    "cell_dlon": lambda v: not (is_number(v) and math.isfinite(v) and v > 0),
     "nrows": lambda v: v != NROWS,
     "ncols": lambda v: v != NCOLS,
 }
@@ -218,7 +218,18 @@ def broken_label_files(draw):
 
 # -- tests --------------------------------------------------------------------
 
+def with_geometry(key, value):
+    """The valid manifest's bytes with one geometry field replaced."""
+    doc = valid_manifest()
+    doc["geometry"][key] = value
+    return json.dumps(doc).encode()
+
+
 @given(manifest=broken_manifests())
+@example(manifest=with_geometry("origin_lat", math.nan))
+@example(manifest=with_geometry("origin_lon", -math.inf))
+@example(manifest=with_geometry("cell_dlat", math.inf))
+@example(manifest=with_geometry("cell_dlon", math.inf))
 def test_broken_manifests_exit_2_or_3(manifest):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "ds"
