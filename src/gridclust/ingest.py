@@ -69,6 +69,10 @@ _KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list",
 RESAMPLE_AREA_WEIGHTED = "area_weighted"
 RESAMPLE_NEAREST = "nearest"
 
+# The grid-CSV reader converts at most this many values (or one line) per
+# np.array call, so its token strings stay near 16 MB at any file size.
+_BLOCK_TOKENS = 2**18
+
 # A resampled target cell keeps a value only if valid source cells cover at
 # least this fraction of its area.
 MIN_COVERAGE = 0.5
@@ -168,10 +172,10 @@ def _read_grid_csv(
 ) -> np.ndarray:
     """Parse a CSV file of ``nlines`` lines of ``nfields`` values each.
 
-    The file is decoded as UTF-8 and converted by one ``np.array`` call,
-    which reads each token with Python's ``float()``.  Only when that call
-    fails, or the shape is wrong, are the lines walked to name the first
-    fault.  ``count_fault(got)`` and ``line_name(i)`` word the errors.
+    The file is decoded as UTF-8 and converted in blocks of whole lines, at
+    most ``_BLOCK_TOKENS`` values (or one line) per block, so only one
+    block's tokens are held as strings at a time.  ``count_fault(got)`` and
+    ``line_name(i)`` word the errors.
     """
     try:
         lines = path.read_bytes().decode("utf-8").splitlines()
@@ -179,14 +183,30 @@ def _read_grid_csv(
         raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
     if len(lines) != nlines:
         raise DatasetError(count_fault(len(lines)))
+    step = max(1, _BLOCK_TOKENS // nfields)
+    grid = np.empty((nlines, nfields))
+    for start in range(0, nlines, step):
+        grid[start : start + step] = _read_grid_block(
+            path, lines[start : start + step], start, nfields, line_name
+        )
+    return grid
+
+
+def _read_grid_block(
+    path: Path, lines: list[str], start: int, nfields: int, line_name: Callable
+) -> np.ndarray:
+    """Convert lines ``start, start + 1, ...`` of a grid CSV by one
+    ``np.array`` call, which reads each token with Python's ``float()``.
+    Only when that call fails, or the shape is wrong, are the lines walked
+    to name the first fault."""
     rows = [line.split(",") for line in lines]
     try:
-        grid = np.array(rows, dtype=np.float64)
-        if grid.shape == (nlines, nfields):
-            return grid
+        block = np.array(rows, dtype=np.float64)
+        if block.shape == (len(rows), nfields):
+            return block
     except ValueError:
         pass
-    for i, parts in enumerate(rows):
+    for i, parts in enumerate(rows, start):
         where = line_name(i)
         if len(parts) != nfields:
             raise DatasetError(f"{where}: expected {nfields} values, got {len(parts)}")

@@ -6,8 +6,13 @@ The pipeline runs in five stages over a stack of annual fields:
    Every 8-connected component of equal-valued cells, of any size, with no
    more extreme neighbor yields one focus at its lexicographically smallest
    cell; a strict extremum is the one-cell case;
-2. per-year zones: priority-flood watershed growth from the focus points,
-   queueing flat indices of a grid padded by one closed cell;
+2. per-year zones: priority-flood watershed growth from the focus points
+   over flat indices of a grid padded by one closed cell.  Each cell joins
+   the zone of its earliest-popped neighbor, so zones are the trees of a
+   forest labelled by pointer jumping.  With every regional extremum
+   seeded, the pop order is a sort by (key, flat index) in which only
+   plateau cells replay a heap, over equal keys alone; other seed sets
+   fall back to the full heap;
 3. recurrence mining: counting, per exact cell, how many years produced a
    focus there, with a frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
@@ -154,6 +159,16 @@ def _padded_keys(field: ScalarField, orientation: str) -> tuple[np.ndarray, int,
     return keys.ravel(), width, offsets
 
 
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Each node's root in the forest of ``parent`` links (a root is its own
+    parent), by pointer jumping until no link changes."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
+
+
 def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """Connected components of the undirected graph on nodes ``0..n-1`` with
     edges ``(heads[i], tails[i])``; self-loops and repeated edges are allowed.
@@ -175,11 +190,28 @@ def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
             return np.unique(lab, return_inverse=True)[1]
         np.minimum.at(lab, root_h[changed], low[changed])
         np.minimum.at(lab, root_t[changed], low[changed])
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
+        lab = _roots(lab)
+
+
+def _neighbor_relations(
+    keys: np.ndarray, offsets: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell of a padded key grid against its eight neighbors.
+
+    Returns ``beaten``, true where some neighbor holds a smaller (more
+    extreme) key, and the equal-key neighbor pairs, each once, as two flat
+    index arrays.  A valid cell never ties with a closed one.
+    """
+    beaten = np.zeros(keys.size, dtype=bool)
+    heads, tails = [], []
+    for off in (o for o in offsets if o > 0):
+        head, tail = keys[:-off], keys[off:]
+        beaten[:-off] |= tail < head
+        beaten[off:] |= head < tail
+        tie = np.flatnonzero(head == tail)
+        heads.append(tie)
+        tails.append(tie + off)
+    return beaten, np.concatenate(heads), np.concatenate(tails)
 
 
 def detect_focus_points(
@@ -199,19 +231,8 @@ def detect_focus_points(
     if total_valid == 0:
         raise EmptyDomainError("field is fully masked")
 
-    # beaten[p]: some neighbor of p is more extreme.  Equal-key neighbor
-    # pairs (never a valid cell with a closed one) join into components.
-    n = keys.size
-    beaten = np.zeros(n, dtype=bool)
-    heads, tails = [], []
-    for off in (o for o in offsets if o > 0):
-        head, tail = keys[:-off], keys[off:]
-        beaten[:-off] |= tail < head
-        beaten[off:] |= head < tail
-        tie = np.flatnonzero(head == tail)
-        heads.append(tie)
-        tails.append(tie + off)
-    component = _components(n, np.concatenate(heads), np.concatenate(tails))
+    beaten, heads, tails = _neighbor_relations(keys, offsets)
+    component = _components(keys.size, heads, tails)
     _, first, size = np.unique(component, return_index=True, return_counts=True)
     blocked = np.bincount(component, weights=beaten) > 0
     emit = np.sort(first[valid[first] & ~blocked & (size < total_valid)])
@@ -224,55 +245,144 @@ def detect_focus_points(
     ]
 
 
+def _flood_order(
+    keys: list[float], seen: list[bool], starts: list[int], offsets: tuple[int, ...],
+    same_key: bool,
+) -> list[int]:
+    """Flat indices in the order a priority flood pops them.
+
+    The queue starts with ``starts`` and pops ``(key, flat index)`` entries
+    smallest first.  A popped cell queues each neighbor not yet ``seen``
+    (with ``same_key``, only those of its own key) and marks it seen.
+    ``seen`` must hold true for closed cells; it is updated in place.
+    """
+    heap = [(keys[p], p) for p in starts]
+    for p in starts:
+        seen[p] = True
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        key, p = heapq.heappop(heap)
+        order.append(p)
+        for off in offsets:
+            q = p + off
+            if not seen[q] and (keys[q] == key or not same_key):
+                seen[q] = True
+                heapq.heappush(heap, (keys[q], q))
+    return order
+
+
+def _sorted_pop_order(
+    keys: np.ndarray, offsets: tuple[int, ...], seeds: np.ndarray
+) -> np.ndarray | None:
+    """The pop order of the flood from ``seeds`` over every valid cell of the
+    padded key grid, or None when the seeds miss a regional extremum.
+
+    A plateau cell is a valid cell with an equal-key neighbor.  The seeds
+    cover every extremum when each non-plateau cell is a seed or has a more
+    extreme neighbor, and a flood over equal keys alone, from the plateau
+    cells that are seeds or have one, reaches every plateau cell.  Keys then
+    pop in order, and each non-plateau cell is queued before its key level
+    starts.  So only that equal-key flood needs a heap; each level's other
+    cells merge into its order by flat index, a plateau cell sorting at the
+    largest flat index popped so far on its level.
+    """
+    valid = keys < np.inf
+    entered, heads, tails = _neighbor_relations(keys, offsets)
+    entered[seeds] = True
+    plateau = np.zeros(keys.size, dtype=bool)
+    plateau[heads] = True
+    plateau[tails] = True
+    plateau &= valid
+    if (valid & ~plateau & ~entered).any():
+        return None
+    # Equal keys only: a flood across levels would reach an unseeded
+    # extremal plateau from above and hide that the seeds miss it.
+    starts = np.flatnonzero(plateau & entered).tolist()
+    replay = np.array(
+        _flood_order(keys.tolist(), (~plateau).tolist(), starts, offsets, True), dtype=np.intp
+    )
+    if replay.size < plateau.sum():
+        return None
+
+    # Sort by (key, merge position, replay position); a non-plateau cell's
+    # merge position is its own flat index.
+    merge_at = np.arange(keys.size)
+    replay_at = np.zeros(keys.size, dtype=np.intp)
+    if replay.size:
+        level = np.concatenate(([0], np.cumsum(keys[replay[1:]] != keys[replay[:-1]])))
+        shift = level * keys.size
+        merge_at[replay] = np.maximum.accumulate(replay + shift) - shift
+        replay_at[replay] = np.arange(replay.size)
+    cells = np.flatnonzero(valid)
+    return cells[np.lexsort((replay_at[cells], merge_at[cells], keys[cells]))]
+
+
 def watershed_zones(
     field: ScalarField, foci: Sequence[FocusPoint], orientation: str
 ) -> ZoneMap:
     """Priority-flood region growing from focus seeds.
 
-    Queue entries are ``(key, flat index)`` on the padded key grid of
+    The flood queues ``(key, flat index)`` entries on the padded key grid of
     :func:`_padded_keys`, so the extremal value pops first (largest under
-    maxima orientation), ties broken by smaller (row, col).  When a cell is
-    popped, each of its unmasked 8-neighbors not yet labeled takes the
-    popped cell's label and is enqueued, so a cell carries the label of the
-    zone that first reaches it.  This equals labelling each cell at its
-    first pop with ties broken by earlier insertion: all entries a cell
-    could get share one key, so the earliest would pop first.  Unmasked
-    cells unreachable from every focus stay unlabeled.
+    maxima orientation), ties broken by smaller (row, col).  A popped cell
+    hands its label to each unmasked 8-neighbor not yet labeled, so every
+    cell carries the label of its earliest-popped neighbor.  Those links
+    form a forest rooted at the foci, and pointer jumping labels it.
+
+    Only the pop order needs the flood.  When the foci cover every regional
+    extremum (as :func:`detect_focus_points` gives them), it is a sort by
+    ``(key, flat index)`` with a heap replayed over plateaus alone (see
+    :func:`_sorted_pop_order`); for any other seed set the full heap runs
+    over every reachable cell.  Unmasked cells unreachable from every focus
+    stay unlabeled.
     """
     keys, width, offsets = _padded_keys(field, orientation)
     if not foci:
         raise ParameterError("watershed requires at least one focus")
     geom = field.geometry
 
-    # -1: open and unlabeled; -2: closed (masked or padding).
-    labels = np.where(keys < np.inf, -1, -2).tolist()
-    key_of = keys.tolist()
+    valid = keys < np.inf
     anchors: dict[int, CellIndex] = {}
-    heap: list[tuple[float, int]] = []
+    seed_cells: list[int] = []
+    seen: set[int] = set()
     for i, fp in enumerate(foci):
         r, c = fp.cell
         if not geom.contains(r, c):
             raise ParameterError(f"focus {fp.cell} outside the grid")
         p = int((r + 1) * width + c + 1)
-        if labels[p] == -2:
+        if not valid[p]:
             raise ParameterError(f"focus {fp.cell} lies on a masked cell")
-        if labels[p] != -1:
+        if p in seen:
             raise ParameterError(f"duplicate focus cell {fp.cell}")
-        labels[p] = i
+        seen.add(p)
         anchors[i] = CellIndex(r, c)
-        heap.append((key_of[p], p))
-    heapq.heapify(heap)
+        seed_cells.append(p)
+    seeds = np.array(seed_cells)
 
-    while heap:
-        _, p = heapq.heappop(heap)
-        lab = labels[p]
-        for off in offsets:
-            q = p + off
-            if labels[q] == -1:
-                labels[q] = lab
-                heapq.heappush(heap, (key_of[q], q))
-    grid = np.array(labels, dtype=np.int32).reshape(-1, width)[1:-1, 1:-1]
-    return ZoneMap(geom, np.maximum(grid, -1), anchors)
+    order = _sorted_pop_order(keys, offsets, seeds)
+    if order is None:
+        order = np.array(
+            _flood_order(keys.tolist(), (~valid).tolist(), seeds.tolist(), offsets, False),
+            dtype=np.intp,
+        )
+    # Each cell links to its earliest-popped neighbor; seeds, and cells no
+    # neighbor of which ever pops, are roots.
+    n = keys.size
+    rank = np.full(n, n)
+    rank[order] = np.arange(order.size)
+    cells = np.flatnonzero(valid)
+    earliest = rank[cells + offsets[0]]
+    for off in offsets[1:]:
+        np.minimum(earliest, rank[cells + off], out=earliest)
+    parent = np.arange(n)
+    linked = earliest < n
+    parent[cells[linked]] = order[earliest[linked]]
+    parent[seeds] = seeds
+    label = np.full(n, -1, dtype=np.int32)
+    label[seeds] = np.arange(seeds.size)
+    grid = label[_roots(parent)].reshape(-1, width)[1:-1, 1:-1]
+    return ZoneMap(geom, grid, anchors)
 
 
 def mine_frequent_foci(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gridclust.gridcore import (
     GridGeometry,
 )
 from gridclust.ingest import (
+    _read_grid_csv,
     annual_mean,
     build_annual_stack,
     load_dataset,
@@ -120,6 +122,24 @@ class TestLoadDataset:
         write_gts(tmp_path, doc, {1995: constant_lines(360, 4), 1996: constant_lines(360, 4)})
         with pytest.raises(DatasetError, match="increasing"):
             load_dataset(tmp_path)
+
+
+class TestGridCsvReader:
+    def test_peak_memory_stays_below_all_tokens_at_once(self, tmp_path):
+        # 30 lines of 129 x 135 values, 3.1 MB of text: converting every
+        # token at once peaks at 40 MB on this file.
+        rng = np.random.default_rng(3)
+        values = rng.integers(-500, 4000, (30, 129 * 135)) / 100
+        path = tmp_path / "grid.csv"
+        np.savetxt(path, values, fmt="%.2f", delimiter=",")
+        tracemalloc.start()
+        try:
+            grid = _read_grid_csv(path, 30, 129 * 135, str, str)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(grid, values)
+        assert peak < 30 * 2**20
 
 
 class TestValidateDataset:

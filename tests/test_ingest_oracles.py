@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridclust import ingest
 from gridclust.errors import DatasetError
 from gridclust.gridcore import (
     CELSIUS,
@@ -308,6 +309,29 @@ def test_faulty_year_files_fail_like_the_line_loop(nfaults, cube, mv, data):
         # day; the reader parses the whole file first.  So a non-finite
         # value before a parse fault is the one case that may be named
         # differently (both sides still raise).
+        kinds = set(kinds)
+        if "nonfinite" in kinds and kinds & {"fields", "token", "blank"} and "count" not in kinds:
+            assert new[0] == expected[0] == "raised"
+        else:
+            assert new == expected
+
+
+@pytest.mark.parametrize("budget", [1, 9])
+@settings(max_examples=30)
+@given(cube=grids(NDAYS), mv=SENTINELS, data=st.data())
+def test_year_files_read_in_small_blocks_like_the_line_loop(budget, cube, mv, data):
+    # A budget of 1 converts one line per block; 9 converts 1 to 9 lines.
+    nfaults = data.draw(st.integers(0, 2), label="faults")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK_TOKENS", budget)
+        root = Path(tmp)
+        path = valid_dataset(root, cube, mv)
+        lines, kinds = data.draw(faulty_lines(path.read_text(), nfaults))
+        write_lines(path, lines)
+        manifest = load_manifest(root)
+        new = outcome(_load_year_file, root, YEAR, manifest)
+        expected = outcome(oracle_load_year_file, path, YEAR, manifest)
+        # As above: every block is parsed before any value is checked.
         kinds = set(kinds)
         if "nonfinite" in kinds and kinds & {"fields", "token", "blank"} and "count" not in kinds:
             assert new[0] == expected[0] == "raised"

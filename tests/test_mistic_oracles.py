@@ -3,8 +3,9 @@
 The oracles below are the earlier implementations of core grouping
 (pairwise union-find, and scipy's ``cKDTree.query_pairs`` closed by
 ``connected_components``), connected components (``scipy.sparse.csgraph``),
-watershed growth (label on first pop, stale entries
-skipped), core extents (one ``ZoneMap.cells_of`` call per anchored zone),
+watershed growth (label on first pop, stale entries skipped; and the
+one-entry-per-cell heap flood, ``heap_watershed``, that labels on first
+push), core extents (one ``ZoneMap.cells_of`` call per anchored zone),
 consensus voting (one pass per core id) and the translation of zones to
 cores (one ``chebyshev`` call per anchor and member for anchors outside
 every core).  The library must reproduce them
@@ -14,6 +15,7 @@ exactly on every input.
 import heapq
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -21,6 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from gridclust.errors import ParameterError
 from gridclust.gridcore import NEIGHBOR_OFFSETS, CellIndex, ZoneMap, chebyshev
 from gridclust.mistic import (
     Core,
@@ -28,6 +31,8 @@ from gridclust.mistic import (
     _close_pairs,
     _components,
     _group_cells,
+    _padded_keys,
+    _sorted_pop_order,
     build_cores,
     consensus_zone_map,
     detect_focus_points,
@@ -100,6 +105,48 @@ def oracle_watershed(field, foci, orientation):
                 heapq.heappush(heap, (sign * values[nr, nc], nr, nc, seq, lab))
                 seq += 1
     return labels
+
+
+def heap_watershed(field, foci, orientation, pops=None):
+    """The priority flood with one heap entry per cell: a popped cell labels
+    and queues each open neighbor not yet labeled.  Popped flat indices of
+    the padded key grid are appended to ``pops`` when it is given."""
+    keys, width, offsets = _padded_keys(field, orientation)
+    if not foci:
+        raise ParameterError("watershed requires at least one focus")
+    geom = field.geometry
+
+    # -1: open and unlabeled; -2: closed (masked or padding).
+    labels = np.where(keys < np.inf, -1, -2).tolist()
+    key_of = keys.tolist()
+    anchors = {}
+    heap = []
+    for i, fp in enumerate(foci):
+        r, c = fp.cell
+        if not geom.contains(r, c):
+            raise ParameterError(f"focus {fp.cell} outside the grid")
+        p = int((r + 1) * width + c + 1)
+        if labels[p] == -2:
+            raise ParameterError(f"focus {fp.cell} lies on a masked cell")
+        if labels[p] != -1:
+            raise ParameterError(f"duplicate focus cell {fp.cell}")
+        labels[p] = i
+        anchors[i] = CellIndex(r, c)
+        heap.append((key_of[p], p))
+    heapq.heapify(heap)
+
+    while heap:
+        _, p = heapq.heappop(heap)
+        if pops is not None:
+            pops.append(p)
+        lab = labels[p]
+        for off in offsets:
+            q = p + off
+            if labels[q] == -1:
+                labels[q] = lab
+                heapq.heappush(heap, (key_of[q], q))
+    grid = np.array(labels, dtype=np.int32).reshape(-1, width)[1:-1, 1:-1]
+    return ZoneMap(geom, np.maximum(grid, -1), anchors)
 
 
 def oracle_build_cores(table, mode, radius, yearly_zones):
@@ -182,6 +229,27 @@ def tie_heavy_stacks(draw, max_years=5):
 
 
 @st.composite
+def tie_heavy_fields(draw):
+    """One field over a random mask, its values from {-1, -0.0, 0.0, 1, 2} (so
+    equal keys include signed zeros) or small integers."""
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    choices = draw(st.sampled_from([[-1.0, -0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]]))
+    values = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(choices)))
+    mask = draw(hnp.arrays(np.bool_, shape, elements=st.sampled_from([True, True, True, False])))
+    return values, mask
+
+
+class Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: every draw returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy, label=None):
+        return self.value
+
+
+@st.composite
 def edge_lists(draw):
     """A node count and edges among its nodes, self-loops and repeats allowed."""
     n = draw(st.integers(1, 40))
@@ -258,6 +326,13 @@ def test_grouping_matches_union_find(cells, radius):
 
 
 @given(stack=tie_heavy_stacks(max_years=1), orientation=orientations, data=st.data())
+# The seeds miss the unseeded minimum plateau [1, 1] above the seed's level;
+# a flood over equal keys must not reach it from the plateau [2, 2, 2].
+@example(
+    stack=(np.array([[[1.0], [1.0], [2.0], [2.0], [2.0]]]), np.ones((5, 1), dtype=bool)),
+    orientation="minima",
+    data=Drawn([CellIndex(3, 0)]),
+)
 def test_watershed_matches_pop_time_labelling(stack, orientation, data):
     values, mask = stack[0][0], stack[1]
     unmasked = [CellIndex(int(r), int(c)) for r, c in np.argwhere(mask)]
@@ -271,6 +346,61 @@ def test_watershed_matches_pop_time_labelling(stack, orientation, data):
         if fs:
             got = watershed_zones(field, fs, orientation).labels
             assert np.array_equal(got, oracle_watershed(field, fs, orientation))
+
+
+@given(case=tie_heavy_fields(), orientation=orientations, data=st.data())
+def test_sorted_pop_order_matches_the_heap(case, orientation, data):
+    values, mask = case
+    field = make_field(values, mask=mask)
+    if not mask.any():
+        return
+    detected = detect_focus_points(field, orientation)
+    open_cells = [CellIndex(int(r), int(c)) for r, c in np.argwhere(mask)]
+    extra = data.draw(st.sets(st.sampled_from(open_cells)))
+    extra -= {fp.cell for fp in detected}
+    more = detected + [FocusPoint(cell, 0, float(values[cell])) for cell in sorted(extra)]
+    keys, width, offsets = _padded_keys(field, orientation)
+    for foci in (detected, more):
+        if not foci:
+            continue
+        pops = []
+        expected = heap_watershed(field, foci, orientation, pops)
+        seeds = np.array([(r + 1) * width + c + 1 for r, c in (fp.cell for fp in foci)])
+        order = _sorted_pop_order(keys, offsets, seeds)
+        assert order is not None
+        assert order.tolist() == pops
+        got = watershed_zones(field, foci, orientation)
+        assert np.array_equal(got.labels, expected.labels)
+        assert got.anchors == expected.anchors
+
+
+@given(case=tie_heavy_fields(), data=st.data())
+# Coordinates beyond int64 are outside the grid, and earlier foci report first.
+@example(
+    case=(np.zeros((2, 2)), np.array([[False, True], [True, True]])),
+    data=Drawn([CellIndex(2**70, 0)]),
+)
+@example(
+    case=(np.zeros((2, 2)), np.array([[False, True], [True, True]])),
+    data=Drawn([CellIndex(0, 0), CellIndex(2**70, 0)]),
+)
+def test_focus_errors_match_the_heap_version(case, data):
+    values, mask = case
+    field = make_field(values, mask=mask)
+    nrows, ncols = mask.shape
+    cell = st.builds(CellIndex, st.integers(-1, nrows), st.integers(-1, ncols))
+    cells = data.draw(st.lists(cell, max_size=6))
+    foci = [FocusPoint(c, 0, 0.0) for c in cells]
+    try:
+        expected = heap_watershed(field, foci, "maxima")
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            watershed_zones(field, foci, "maxima")
+        assert str(got.value) == str(exc)
+    else:
+        got = watershed_zones(field, foci, "maxima")
+        assert np.array_equal(got.labels, expected.labels)
+        assert got.anchors == expected.anchors
 
 
 @given(
