@@ -39,6 +39,7 @@ from .ingest import (  # noqa: F401
     DatasetManifest,
     annual_mean,
     build_annual_stack,
+    load_annual_stack,
     load_dataset,
     resample,
     validate_dataset,

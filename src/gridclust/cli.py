@@ -36,8 +36,7 @@ from .ingest import (
     DATA_DIR,
     ELEVATION_NAME,
     MANIFEST_NAME,
-    build_annual_stack,
-    load_dataset,
+    load_annual_stack,
     load_elevation,
     validate_dataset,
 )
@@ -90,18 +89,15 @@ def _write_outputs(
 
 
 def _load(args, hash_elevation: bool = True):
-    """Series, annual stack and input hashes of ``--dataset``.
-
-    The hashes cover the manifest, every year file and, with
-    ``hash_elevation``, ``elevation.csv`` when the dataset has one.
-    """
+    """Manifest, annual stack and input hashes of ``--dataset``, the stack
+    built one year file at a time; the hashes cover the manifest, every year
+    file and, with ``hash_elevation``, ``elevation.csv`` if there is one."""
     root = Path(args.dataset)
-    series = load_dataset(root)
-    stack = build_annual_stack(series, args.min_valid_fraction)
-    paths = [root / MANIFEST_NAME] + [root / DATA_DIR / f"{y}.csv" for y in series.years]
+    manifest, stack = load_annual_stack(root, args.min_valid_fraction)
+    paths = [root / MANIFEST_NAME] + [root / DATA_DIR / f"{y}.csv" for y in manifest.years]
     if hash_elevation and (root / ELEVATION_NAME).exists():
         paths.append(root / ELEVATION_NAME)
-    return series, stack, {str(p): _sha256(p) for p in paths}
+    return manifest, stack, {str(p): _sha256(p) for p in paths}
 
 
 def _labels_csv(labels: np.ndarray) -> str:
@@ -232,7 +228,7 @@ def _parse_k_list(text: str) -> list[int]:
 
 def _cmd_kmeans(args) -> int:
     ks = _parse_k_list(args.k)
-    series, stack, inputs = _load(args)
+    manifest, stack, inputs = _load(args)
     features = build_features(stack)
     results = sweep_k(features, ks, seed=args.seed, restarts=args.restarts)
 
@@ -251,7 +247,7 @@ def _cmd_kmeans(args) -> int:
                 "cells": int((run.labels >= 0).sum()),
             }
         )
-    report = {"variable": series.variable, "years": list(stack.years), "runs": runs}
+    report = {"variable": manifest.variable, "years": list(stack.years), "runs": runs}
     files["kmeans_report.json"] = _json_text(report)
     _write_outputs(args, files, inputs, k=ks)
     for run in results:
@@ -266,8 +262,8 @@ def _resolve_orientation(orientation: str, variable: str) -> str:
 
 
 def _cmd_mistic(args) -> int:
-    series, stack, inputs = _load(args)
-    orientation = _resolve_orientation(args.orientation, series.variable)
+    manifest, stack, inputs = _load(args)
+    orientation = _resolve_orientation(args.orientation, manifest.variable)
     params = MisticParams(
         orientation=orientation,
         min_years=args.min_years,
@@ -330,12 +326,12 @@ def _cmd_compare(args) -> int:
     stack = elevation = slope = None
     if args.dataset:
         # --elevation is read in place of the dataset's own elevation.csv.
-        series, stack, dataset_inputs = _load(args, hash_elevation=not args.elevation)
+        manifest, stack, dataset_inputs = _load(args, hash_elevation=not args.elevation)
         inputs.update(dataset_inputs)
-        geometry = series.geometry
+        geometry = manifest.geometry
         elev_path = Path(args.elevation) if args.elevation else Path(args.dataset) / ELEVATION_NAME
         if elev_path.exists():
-            elevation = load_elevation(elev_path, geometry, series.missing_value)
+            elevation = load_elevation(elev_path, geometry, manifest.missing_value)
             slope = slope_field(elevation)
         if args.elevation:
             inputs[args.elevation] = _sha256(Path(args.elevation))

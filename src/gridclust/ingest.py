@@ -12,10 +12,13 @@ On-disk dataset layout ("GTS" format):
 - optional ``elevation.csv``: ``nrows`` lines of ``ncols`` values in meters;
   ``missing_value`` applies.
 
-Year files and ``elevation.csv`` share one grid-CSV reader and one writer.
-Loading is strict: files must be UTF-8, field types must match, day counts
-must match the declared calendar, every non-sentinel value must be finite,
-and errors name the offending file, field or year/day/cell.
+Year files and ``elevation.csv`` share one grid-CSV reader, numpy's C reader
+with a line walk that only names a fault, and one writer.  Loading is strict:
+files must be UTF-8, field types must match, day counts must match the
+declared calendar, every non-sentinel value must be finite, and errors name
+the offending file, field or year/day/cell.  :func:`load_annual_stack`
+reduces each year file to its annual means as soon as it is read;
+:func:`load_dataset` keeps every daily value.
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ _KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list",
 
 RESAMPLE_AREA_WEIGHTED = "area_weighted"
 RESAMPLE_NEAREST = "nearest"
-
-# The grid-CSV reader converts at most this many values (or one line) per
-# np.array call, so its token strings stay near 16 MB at any file size.
-_BLOCK_TOKENS = 2**18
 
 # A resampled target cell keeps a value only if valid source cells cover at
 # least this fraction of its area.
@@ -170,52 +169,42 @@ def load_manifest(root: str | os.PathLike) -> DatasetManifest:
 def _read_grid_csv(
     path: Path, nlines: int, nfields: int, count_fault: Callable, line_name: Callable
 ) -> np.ndarray:
-    """Parse a CSV file of ``nlines`` lines of ``nfields`` values each.
-
-    The file is decoded as UTF-8 and converted in blocks of whole lines, at
-    most ``_BLOCK_TOKENS`` values (or one line) per block, so only one
-    block's tokens are held as strings at a time.  ``count_fault(got)`` and
-    ``line_name(i)`` word the errors.
-    """
+    """Parse a UTF-8 CSV file of ``nlines`` lines of ``nfields`` values each
+    by one :func:`_parse` call.  Only if that fails are the lines, then the
+    faulty line's tokens, parsed one by one to name the first fault.
+    ``count_fault(got)`` and ``line_name(i)`` word the errors."""
     try:
         lines = path.read_bytes().decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
     if len(lines) != nlines:
         raise DatasetError(count_fault(len(lines)))
-    step = max(1, _BLOCK_TOKENS // nfields)
-    grid = np.empty((nlines, nfields))
-    for start in range(0, nlines, step):
-        grid[start : start + step] = _read_grid_block(
-            path, lines[start : start + step], start, nfields, line_name
-        )
-    return grid
-
-
-def _read_grid_block(
-    path: Path, lines: list[str], start: int, nfields: int, line_name: Callable
-) -> np.ndarray:
-    """Convert lines ``start, start + 1, ...`` of a grid CSV by one
-    ``np.array`` call, which reads each token with Python's ``float()``.
-    Only when that call fails, or the shape is wrong, are the lines walked
-    to name the first fault."""
-    rows = [line.split(",") for line in lines]
-    try:
-        block = np.array(rows, dtype=np.float64)
-        if block.shape == (len(rows), nfields):
-            return block
-    except ValueError:
-        pass
-    for i, parts in enumerate(rows, start):
-        where = line_name(i)
+    grid = _parse(lines, nfields)
+    if grid is not None:
+        return grid
+    for i, line in enumerate(lines):
+        parts = line.split(",")
         if len(parts) != nfields:
-            raise DatasetError(f"{where}: expected {nfields} values, got {len(parts)}")
+            raise DatasetError(f"{line_name(i)}: expected {nfields} values, got {len(parts)}")
+        if _parse([line], nfields) is not None:
+            continue
         for c, p in enumerate(parts):
-            try:
-                float(p)
-            except ValueError:
-                raise DatasetError(f"{where}, cell {c}: unparseable value {p.strip()!r}") from None
+            if _parse([p], 1) is None:
+                raise DatasetError(f"{line_name(i)}, cell {c}: unparseable value {p.strip()!r}")
     raise DatasetError(f"{path}: unparseable values")
+
+
+def _parse(lines: list[str], nfields: int) -> np.ndarray | None:
+    """The C reader's array of ``lines`` of ``nfields`` values each, or None.
+    Its tokens are ``float()``'s without ``_`` and non-ASCII digits; empty
+    lines (which it skips) and U+001F (which it strips) are refused."""
+    if not all(lines) or any("\x1f" in line for line in lines):
+        return None
+    try:
+        grid = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return grid if grid.shape == (len(lines), nfields) else None
 
 
 def _load_year_file(root: Path, year: int, manifest: DatasetManifest) -> np.ndarray:
@@ -251,16 +240,9 @@ def load_dataset(root: str | os.PathLike) -> DailySeriesGrid:
     when the manifest or a payload file is absent.
     """
     root = Path(root)
-    manifest = load_manifest(root)
-    return DailySeriesGrid(
-        geometry=manifest.geometry,
-        calendar=manifest.calendar,
-        units=manifest.units,
-        years=manifest.years,
-        data={year: _load_year_file(root, year, manifest) for year in manifest.years},
-        variable=manifest.variable,
-        missing_value=manifest.missing_value,
-    )
+    m = load_manifest(root)
+    data = {year: _load_year_file(root, year, m) for year in m.years}
+    return DailySeriesGrid(m.geometry, m.calendar, m.units, m.years, data, m.variable, m.missing_value)
 
 
 def validate_dataset(root: str | os.PathLike) -> list[str]:
@@ -389,6 +371,17 @@ class AnnualMeanStack:
         return len(self.years)
 
 
+def _annual_field(cube: np.ndarray, like, min_valid_fraction: float) -> ScalarField:
+    """Per-cell mean of the valid (non-NaN) days of one year's daily cube, on
+    the geometry and in the units of ``like`` (a series or a manifest)."""
+    valid = ~np.isnan(cube)
+    counts = valid.sum(axis=0)
+    sums = np.where(valid, cube, 0.0).sum(axis=0)
+    mask = counts >= min_valid_fraction * cube.shape[0]  # fraction > 0: no 0 count in mask
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=mask)
+    return ScalarField(like.geometry, means, mask, like.units)
+
+
 def annual_mean(
     series: DailySeriesGrid, year: int, min_valid_fraction: float = 1.0
 ) -> ScalarField:
@@ -399,15 +392,7 @@ def annual_mean(
     """
     if not (0.0 < min_valid_fraction <= 1.0):
         raise ParameterError("min_valid_fraction must be in (0, 1]")
-    arr = series.year_values(year)
-    ndays = arr.shape[0]
-    valid = ~np.isnan(arr)
-    counts = valid.sum(axis=0)
-    sums = np.where(valid, arr, 0.0).sum(axis=0)
-    mask = counts >= min_valid_fraction * ndays
-    mask &= counts > 0
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return ScalarField(series.geometry, np.where(mask, means, 0.0), mask, series.units)
+    return _annual_field(series.year_values(year), series, min_valid_fraction)
 
 
 def build_annual_stack(
@@ -419,6 +404,24 @@ def build_annual_stack(
     fields = tuple(annual_mean(series, y, min_valid_fraction) for y in series.years)
     mask = np.logical_and.reduce([f.mask for f in fields])
     return AnnualMeanStack(series.geometry, series.units, series.years, fields, mask)
+
+
+def load_annual_stack(
+    root: str | os.PathLike, min_valid_fraction: float = 1.0
+) -> tuple[DatasetManifest, AnnualMeanStack]:
+    """The manifest and ``build_annual_stack(load_dataset(root), min_valid_fraction)``,
+    with each year file reduced to its annual field as soon as it is parsed,
+    so only one year's daily values are held at a time."""
+    if not (0.0 < min_valid_fraction <= 1.0):
+        raise ParameterError("min_valid_fraction must be in (0, 1]")
+    root = Path(root)
+    manifest = load_manifest(root)
+    fields = tuple(
+        _annual_field(_load_year_file(root, y, manifest), manifest, min_valid_fraction)
+        for y in manifest.years
+    )
+    mask = np.logical_and.reduce([f.mask for f in fields])
+    return manifest, AnnualMeanStack(manifest.geometry, manifest.units, manifest.years, fields, mask)
 
 
 def _overlaps(dst_edges: np.ndarray, src_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import json
+import shutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from gridclust.errors import (
     ParameterError,
     YearLookupError,
 )
+from gridclust.cli import main
 from gridclust.gridcore import (
     CELSIUS,
     GEOGRAPHIC,
@@ -20,6 +23,7 @@ from gridclust.ingest import (
     _read_grid_csv,
     annual_mean,
     build_annual_stack,
+    load_annual_stack,
     load_dataset,
     load_elevation,
     resample,
@@ -140,6 +144,112 @@ class TestGridCsvReader:
             tracemalloc.stop()
         assert np.array_equal(grid, values)
         assert peak < 30 * 2**20
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadAnnualStack:
+    def test_rejects_bad_fraction_before_reading_years(self, tmp_path):
+        # The year file is missing, so reading it would raise FileNotFoundError.
+        write_gts(tmp_path, manifest_doc(), {})
+        for fraction in (0.0, 1.5, float("nan")):
+            with pytest.raises(ParameterError, match="min_valid_fraction"):
+                load_annual_stack(tmp_path, fraction)
+        with pytest.raises(FileNotFoundError):
+            load_annual_stack(tmp_path)
+
+    def test_peak_memory_is_one_year_not_all(self, tmp_path):
+        # 8 years of 360 days on 32 x 32 cells, values to two decimals as in
+        # gridded station products.  load_dataset holds every daily value
+        # (twice while DailySeriesGrid copies them, 45 MB); the annual stack
+        # holds one year's text and values at a time.  That text is held
+        # twice while it is decoded, so values written with 17 digits would
+        # read about 0.3 of load_dataset's peak here.
+        years = range(2000, 2008)
+        write_gts(tmp_path, manifest_doc(32, 32, years=years), {})
+        values = np.round(np.random.default_rng(5).normal(25.0, 8.0, (360, 32 * 32)), 2)
+        np.savetxt(tmp_path / "data" / "2000.csv", values, fmt="%.2f", delimiter=",")
+        for year in years[1:]:
+            shutil.copy(tmp_path / "data" / "2000.csv", tmp_path / "data" / f"{year}.csv")
+        daily = traced_peak(load_dataset, tmp_path)
+        annual = traced_peak(load_annual_stack, tmp_path)
+        assert annual < daily / 4
+
+
+class TestTokenGrammar:
+    """Tokens are read by numpy's C reader: ``float()``'s grammar without
+    underscores and non-ASCII digits."""
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11", "\u0661"])
+    def test_year_file_token_is_one_violation_and_exit_2(self, tmp_path, capsys, token):
+        lines = constant_lines(360, 4)
+        lines[7] = ",".join(["10.0", "10.0", token, "10.0"])
+        write_gts(tmp_path / "ds", manifest_doc(), {1995: lines})
+        expected = f"year 1995 day 7, cell 2: unparseable value {token!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_dataset(tmp_path / "ds") == [expected]
+            assert main(["validate", "--dataset", str(tmp_path / "ds")]) == 2
+            assert main(["kmeans", "--dataset", str(tmp_path / "ds"), "--k", "1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11"])
+    def test_elevation_token_is_one_violation_and_exit_2(self, tmp_path, capsys, token):
+        root = tmp_path / "ds"
+        write_gts(root, manifest_doc(), {1995: constant_lines(360, 4)})
+        (root / "elevation.csv").write_text(f"100.0,200.0\n300.0,{token}\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("row,col,label\n0,0,1\n1,1,2\n")
+        expected = f"{root / 'elevation.csv'} line 1, cell 1: unparseable value {token!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_dataset(root) == [expected]
+            assert main(["validate", "--dataset", str(root)]) == 2
+            assert main(["compare", str(labels), str(labels), "--dataset", str(root),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token, value", [
+        (" 1.5\u3000", 1.5), ("\t+.5", 0.5), ("-0", -0.0), ("1E2", 100.0),
+    ], ids=["unicode-space", "tab-plus-point", "negative-zero", "exponent"])
+    def test_float_tokens_still_read(self, tmp_path, token, value):
+        lines = constant_lines(360, 4)
+        lines[3] = ",".join([token, "10.0", "10.0", "10.0"])
+        write_gts(tmp_path, manifest_doc(), {1995: lines})
+        read = load_dataset(tmp_path).year_values(1995)[3, 0, 0]
+        assert read == value and np.signbit(read) == np.signbit(value)
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "nan", "NaN"])
+    def test_non_finite_tokens_read_and_refused(self, tmp_path, token):
+        lines = constant_lines(360, 4)
+        lines[3] = ",".join([token, "10.0", "10.0", "10.0"])
+        write_gts(tmp_path, manifest_doc(), {1995: lines})
+        with pytest.raises(DatasetError, match=r"year 1995 day 3 cell \(0,0\): non-finite"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("nrows, ncols, message", [
+        (2, 2, "year 1995 day 5: expected 4 values, got 1"),
+        (1, 1, "year 1995 day 5, cell 0: unparseable value ''"),
+    ], ids=["four-cells", "one-cell"])
+    def test_empty_line_names_the_day_without_a_warning(self, tmp_path, nrows, ncols, message):
+        lines = constant_lines(360, nrows * ncols)
+        lines[5] = ""
+        write_gts(tmp_path, manifest_doc(nrows, ncols), {1995: lines})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError) as info:
+                load_dataset(tmp_path)
+            assert str(info.value) == message
+            assert validate_dataset(tmp_path) == [message]
 
 
 class TestValidateDataset:

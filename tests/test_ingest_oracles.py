@@ -4,11 +4,14 @@ The oracles below are the earlier year-file loader (one ``_parse_day_line``
 and one sentinel check per day), the earlier ``load_elevation`` line loop,
 and the earlier writers, which format value by value through
 ``repr(float(v))``.  The library must write the same bytes, read back the
-same array bits, and name a single fault with the same message.
+same array bits, and name a single fault with the same message.  The annual
+stack built one year file at a time must equal the one built from the whole
+daily series.
 """
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridclust import ingest
-from gridclust.errors import DatasetError
+from gridclust.errors import DatasetError, GridClustError
 from gridclust.gridcore import (
     CELSIUS,
     FIXED360,
@@ -32,6 +34,9 @@ from gridclust.ingest import (
     ELEVATION_NAME,
     MANIFEST_NAME,
     _load_year_file,
+    build_annual_stack,
+    load_annual_stack,
+    load_dataset,
     load_elevation,
     load_manifest,
     validate_dataset,
@@ -316,29 +321,6 @@ def test_faulty_year_files_fail_like_the_line_loop(nfaults, cube, mv, data):
             assert new == expected
 
 
-@pytest.mark.parametrize("budget", [1, 9])
-@settings(max_examples=30)
-@given(cube=grids(NDAYS), mv=SENTINELS, data=st.data())
-def test_year_files_read_in_small_blocks_like_the_line_loop(budget, cube, mv, data):
-    # A budget of 1 converts one line per block; 9 converts 1 to 9 lines.
-    nfaults = data.draw(st.integers(0, 2), label="faults")
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_BLOCK_TOKENS", budget)
-        root = Path(tmp)
-        path = valid_dataset(root, cube, mv)
-        lines, kinds = data.draw(faulty_lines(path.read_text(), nfaults))
-        write_lines(path, lines)
-        manifest = load_manifest(root)
-        new = outcome(_load_year_file, root, YEAR, manifest)
-        expected = outcome(oracle_load_year_file, path, YEAR, manifest)
-        # As above: every block is parsed before any value is checked.
-        kinds = set(kinds)
-        if "nonfinite" in kinds and kinds & {"fields", "token", "blank"} and "count" not in kinds:
-            assert new[0] == expected[0] == "raised"
-        else:
-            assert new == expected
-
-
 @pytest.mark.parametrize("nfaults", [1, 2])
 @given(grid=grids(min_rows=2), mv=SENTINELS, data=st.data())
 def test_faulty_elevation_files_fail_like_the_line_loop(nfaults, grid, mv, data):
@@ -352,6 +334,63 @@ def test_faulty_elevation_files_fail_like_the_line_loop(nfaults, grid, mv, data)
         assert outcome(load_elevation, path, geom, mv) == outcome(
             oracle_load_elevation, path, geom, mv
         )
+
+
+# -- annual stack, one year file at a time ------------------------------------
+
+@st.composite
+def year_cubes(draw):
+    """1-3 years of daily cubes on one grid; NaN marks a missing cell."""
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cubes = []
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.integers(1, 4))
+        cells = draw(st.lists(st.one_of(VALUES, st.just(np.nan)), min_size=block * nrows * ncols,
+                              max_size=block * nrows * ncols))
+        base = np.array(cells, dtype=np.float64).reshape(block, nrows, ncols)
+        cubes.append(np.resize(base, (NDAYS, nrows, ncols)))
+    return cubes
+
+
+def stack_outcome(load, root, fraction):
+    """The manifest and the stack's bits, or the error the load ended in
+    (sums near 1e308 overflow, and the warning is raised as an error)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            manifest, stack = load(root, fraction)
+    except (GridClustError, RuntimeWarning) as exc:
+        return ("raised", type(exc), str(exc))
+    return (
+        manifest, stack.geometry, stack.units, stack.years, stack.mask.tobytes(),
+        [(f.values.tobytes(), f.mask.tobytes(), f.units) for f in stack.fields],
+    )
+
+
+@settings(max_examples=30)
+@given(cubes=year_cubes(), mv=SENTINELS)
+def test_annual_stack_is_built_like_the_daily_series(cubes, mv):
+    years = tuple(range(YEAR, YEAR + len(cubes)))
+    series = DailySeriesGrid(
+        geometry=planar_geom(*cubes[0].shape[1:]),
+        calendar=CalendarSpec(FIXED360),
+        units=CELSIUS,
+        years=years,
+        data=dict(zip(years, cubes)),
+        variable="tmax",
+        missing_value=mv,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_dataset(series, root)
+        daily = load_dataset(root)
+
+        def from_daily(root, fraction):
+            return load_manifest(root), build_annual_stack(daily, fraction)
+
+        for fraction in (1.0, 0.5, 1 / 360):
+            expected = stack_outcome(from_daily, root, fraction)
+            assert stack_outcome(load_annual_stack, root, fraction) == expected
 
 
 def test_non_utf8_year_file_is_one_violation_naming_the_file(tmp_path):

@@ -4,7 +4,7 @@ Hypothesis draws broken manifests, year files, elevation files and label
 CSVs (non-UTF-8 bytes included) and runs each through ``gridclust.cli.main``
 as the command line would.  Every drawn input is malformed by construction,
 so the only acceptable results are exit code 2 (invalid input) or 3 (I/O
-failure).
+failure), with no warning on the way.
 """
 
 import contextlib
@@ -12,6 +12,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import assume, example, given
@@ -62,9 +63,11 @@ def write_dataset_files(root, manifest=None, year_text=None, elevation=None):
 
 
 def run(*argv):
-    """Exit code of one CLI run; any exception fails the test."""
+    """Exit code of one CLI run; any exception or warning fails the test."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main([str(a) for a in argv])
     assert code in (2, 3), (code, out.getvalue(), err.getvalue())
     return code
