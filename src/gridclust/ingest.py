@@ -261,7 +261,7 @@ def validate_dataset(root: str | os.PathLike) -> list[str]:
         return [str(exc)]
     for year in manifest.years:
         try:
-            _load_year_file(root, year, manifest)
+            _valid_sums(_load_year_file(root, year, manifest), year)
         except (DatasetError, FileNotFoundError) as exc:
             violations.append(str(exc))
     elev = root / ELEVATION_NAME
@@ -371,12 +371,23 @@ class AnnualMeanStack:
         return len(self.years)
 
 
-def _annual_field(cube: np.ndarray, like, min_valid_fraction: float) -> ScalarField:
+def _valid_sums(cube: np.ndarray, year: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell count and sum of the valid (non-NaN) days of one year's daily
+    cube.  A sum beyond the float64 range raises DatasetError naming the cell."""
+    valid = ~np.isnan(cube)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.where(valid, cube, 0.0).sum(axis=0)
+    overflow = ~np.isfinite(sums)
+    if overflow.any():
+        r, c = np.argwhere(overflow)[0]
+        raise DatasetError(f"year {year} cell ({r},{c}): daily values sum beyond the float64 range")
+    return valid.sum(axis=0), sums
+
+
+def _annual_field(cube: np.ndarray, like, min_valid_fraction: float, year: int) -> ScalarField:
     """Per-cell mean of the valid (non-NaN) days of one year's daily cube, on
     the geometry and in the units of ``like`` (a series or a manifest)."""
-    valid = ~np.isnan(cube)
-    counts = valid.sum(axis=0)
-    sums = np.where(valid, cube, 0.0).sum(axis=0)
+    counts, sums = _valid_sums(cube, year)
     mask = counts >= min_valid_fraction * cube.shape[0]  # fraction > 0: no 0 count in mask
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=mask)
     return ScalarField(like.geometry, means, mask, like.units)
@@ -392,7 +403,7 @@ def annual_mean(
     """
     if not (0.0 < min_valid_fraction <= 1.0):
         raise ParameterError("min_valid_fraction must be in (0, 1]")
-    return _annual_field(series.year_values(year), series, min_valid_fraction)
+    return _annual_field(series.year_values(year), series, min_valid_fraction, year)
 
 
 def build_annual_stack(
@@ -417,8 +428,8 @@ def load_annual_stack(
     root = Path(root)
     manifest = load_manifest(root)
     fields = tuple(
-        _annual_field(_load_year_file(root, y, manifest), manifest, min_valid_fraction)
-        for y in manifest.years
+        _annual_field(_load_year_file(root, year, manifest), manifest, min_valid_fraction, year)
+        for year in manifest.years
     )
     mask = np.logical_and.reduce([f.mask for f in fields])
     return manifest, AnnualMeanStack(manifest.geometry, manifest.units, manifest.years, fields, mask)

@@ -13,18 +13,29 @@ distance row.  Every other cell gets a full row.  Results therefore equal
 those of the unpruned loop bit for bit.
 
 All reductions run through numpy's fixed-order single-threaded paths, so
-results are bit-identical across runs and across caller thread counts.
+results are bit-identical across runs and across caller thread counts.  A
+large :func:`sweep_k` runs its restarts on forked worker processes; each
+run depends only on its seed, so the results are those of the serial loop.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import EmptyDomainError, InternalError, ParameterError
 from .gridcore import PLANAR, CellIndex, GridGeometry, ZoneMap
 from .ingest import AnnualMeanStack
+
+_MAX_ITER = 300
+# A sweep of fewer cells times runs stays in one process.  Starting, feeding
+# and stopping two forked workers costs 40-100 ms on a 2-vCPU host, and
+# breaks even at about 8,000 cells times runs (31 features, a 150 ms sweep).
+_POOL_MIN_WORK = 8192
 
 
 @dataclass(frozen=True)
@@ -215,7 +226,7 @@ def run_kmeans(
     features: FeatureMatrix,
     k: int,
     seed: int = 0,
-    max_iter: int = 300,
+    max_iter: int = _MAX_ITER,
 ) -> ClusterMap:
     """One deterministic Lloyd run from a k-means++ initialization.
 
@@ -246,7 +257,25 @@ def run_kmeans(
     a lower id.  ``own``, and with it the inertia, is the same computed
     value as the full row's entry.  A NaN bound fails the test.
     """
-    X = features.matrix
+    return _cluster_map(features, _lloyd(features.matrix, k, seed, max_iter))
+
+
+class _Run(NamedTuple):
+    """One Lloyd run as plain values, which a worker process can send back:
+    :class:`ClusterMap`'s fields with one label per row of the features."""
+
+    labels: np.ndarray
+    k: int
+    centroids: np.ndarray
+    inertia: float
+    iterations: int
+    seed: int
+    inertia_history: tuple[float, ...]
+    converged_by: str
+
+
+def _lloyd(X: np.ndarray, k: int, seed: int, max_iter: int) -> _Run:
+    """The checks and the Lloyd loop of :func:`run_kmeans` on the rows of ``X``."""
     n = X.shape[0]
     if n == 0:
         raise EmptyDomainError("feature matrix has no cells")
@@ -309,18 +338,74 @@ def run_kmeans(
 
     final_centroids = _centroids(X, labels, k)
     inertia = float(_own_sq_distances(X, final_centroids, labels, work).sum())
-
-    return ClusterMap(
-        geometry=features.geometry,
-        labels=_labels_grid(features, labels),
-        k=k,
-        centroids=final_centroids,
-        inertia=inertia,
-        iterations=iterations,
-        seed=seed,
-        inertia_history=tuple(history),
-        converged_by=converged_by,
+    return _Run(
+        labels, k, final_centroids, inertia, iterations, seed, tuple(history), converged_by
     )
+
+
+def _cluster_map(features: FeatureMatrix, run: _Run) -> ClusterMap:
+    grid = _labels_grid(features, run.labels)
+    return ClusterMap(features.geometry, **run._replace(labels=grid)._asdict())
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (1 where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_worker_matrix: np.ndarray | None = None  # the features, in sweep workers only
+
+
+def _share_matrix(X: np.ndarray) -> None:
+    global _worker_matrix
+    _worker_matrix = X
+
+
+def _worker_lloyd(job: tuple[int, int]) -> _Run:
+    k, seed = job
+    return _lloyd(_worker_matrix, k, seed, _MAX_ITER)
+
+
+def _pooled_runs(X: np.ndarray, jobs: list[tuple[int, int]]) -> list[_Run] | None:
+    """The :func:`_lloyd` run of each ``(k, seed)`` job, in job order, from
+    forked worker processes, one per usable CPU; None where that does not pay.
+
+    The pool starts only with at least two usable CPUs, the fork start
+    method, at least ``_POOL_MIN_WORK`` cells times jobs, and no other
+    thread in this process, which could hold a lock that a forked child
+    would wait on forever.  (A spawned worker would import numpy and this
+    package afresh, at about 0.3 s, more than a sweep saves.)  The workers
+    inherit ``X``.  Results are read in job order, so the error raised is
+    the first failing job's, as in the serial loop, and every worker has
+    been joined when this returns or raises.
+    """
+    workers = min(_usable_cpus(), len(jobs))
+    if workers < 2 or X.shape[0] * len(jobs) < _POOL_MIN_WORK:
+        return None
+    if threading.active_count() > 1:
+        return None
+    # Imported here, so that a serial sweep and the CLI never load them.
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_share_matrix, initargs=(X,)
+    ) as pool:
+        return list(pool.map(_worker_lloyd, jobs))
+
+
+def _first_lowest(runs: Iterable) -> list:
+    """Per k, in order of first appearance, the first run of strictly lowest
+    inertia among ``runs`` (:class:`ClusterMap` or :class:`_Run` values)."""
+    best = {}
+    for run in runs:
+        if run.k not in best or run.inertia < best[run.k].inertia:
+            best[run.k] = run
+    return list(best.values())
 
 
 def sweep_k(
@@ -332,8 +417,10 @@ def sweep_k(
     """Best-of-``restarts`` run per requested k, ordered by ascending k.
 
     Restart r uses derived seed ``seed + r``, so a larger restart budget can
-    only improve (or match) the kept inertia for the same base seed.  A k
-    listed twice is rejected.
+    only improve (or match) the kept inertia for the same base seed.  The
+    first run with the strictly lowest inertia is kept.  A k listed twice is
+    rejected.  Large sweeps run their restarts on one forked worker process
+    per usable CPU, with the same results as the serial loop.
     """
     if not ks:
         raise ParameterError("ks must be non-empty")
@@ -343,12 +430,8 @@ def sweep_k(
     repeated = sorted({a for a, b in zip(ks, ks[1:]) if a == b})
     if repeated:
         raise ParameterError(f"ks lists k = {', '.join(map(str, repeated))} more than once")
-    results = []
-    for k in ks:
-        best: ClusterMap | None = None
-        for r in range(restarts):
-            run = run_kmeans(features, k, seed=seed + r)
-            if best is None or run.inertia < best.inertia:
-                best = run
-        results.append(best)
-    return results
+    jobs = [(k, seed + r) for k in ks for r in range(restarts)]
+    runs = _pooled_runs(features.matrix, jobs)
+    if runs is None:
+        return _first_lowest(run_kmeans(features, k, seed=run_seed) for k, run_seed in jobs)
+    return [_cluster_map(features, run) for run in _first_lowest(runs)]

@@ -30,8 +30,9 @@ The number of cores is an output of the process, never an input.
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,6 +215,32 @@ def _neighbor_relations(
     return beaten, np.concatenate(heads), np.concatenate(tails)
 
 
+class _KeyGrid(NamedTuple):
+    """A field's padded keys (:func:`_padded_keys`) and the relations of each
+    cell to its neighbors (:func:`_neighbor_relations`), computed once and
+    shared by focus detection and the watershed."""
+
+    keys: np.ndarray
+    width: int
+    offsets: tuple[int, ...]
+    beaten: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+
+
+# The key grid of the field run_mistic is on, per thread: (field, orientation, grid).
+_shared = threading.local()
+
+
+def _key_grid(field: ScalarField, orientation: str) -> _KeyGrid:
+    """The key grid that :func:`run_mistic` shares for ``field``, or a new one."""
+    shared = getattr(_shared, "grid", None)
+    if shared is not None and shared[0] is field and shared[1] == orientation:
+        return shared[2]
+    keys, width, offsets = _padded_keys(field, orientation)
+    return _KeyGrid(keys, width, offsets, *_neighbor_relations(keys, offsets))
+
+
 def detect_focus_points(
     field: ScalarField, orientation: str, year: int = 0
 ) -> list[FocusPoint]:
@@ -225,19 +252,18 @@ def detect_focus_points(
     component spanning every unmasked cell emits none.  Results are ordered
     by (row, col).
     """
-    keys, width, offsets = _padded_keys(field, orientation)
-    valid = keys < np.inf
+    grid = _key_grid(field, orientation)
+    valid = grid.keys < np.inf
     total_valid = int(valid.sum())
     if total_valid == 0:
         raise EmptyDomainError("field is fully masked")
 
-    beaten, heads, tails = _neighbor_relations(keys, offsets)
-    component = _components(keys.size, heads, tails)
+    component = _components(grid.keys.size, grid.heads, grid.tails)
     _, first, size = np.unique(component, return_index=True, return_counts=True)
-    blocked = np.bincount(component, weights=beaten) > 0
+    blocked = np.bincount(component, weights=grid.beaten) > 0
     emit = np.sort(first[valid[first] & ~blocked & (size < total_valid)])
 
-    rows, cols = np.divmod(emit, width)
+    rows, cols = np.divmod(emit, grid.width)
     rows, cols = (rows - 1).tolist(), (cols - 1).tolist()
     values = field.values[rows, cols].tolist()
     return [
@@ -272,9 +298,7 @@ def _flood_order(
     return order
 
 
-def _sorted_pop_order(
-    keys: np.ndarray, offsets: tuple[int, ...], seeds: np.ndarray
-) -> np.ndarray | None:
+def _sorted_pop_order(grid: _KeyGrid, seeds: np.ndarray) -> np.ndarray | None:
     """The pop order of the flood from ``seeds`` over every valid cell of the
     padded key grid, or None when the seeds miss a regional extremum.
 
@@ -287,12 +311,13 @@ def _sorted_pop_order(
     cells merge into its order by flat index, a plateau cell sorting at the
     largest flat index popped so far on its level.
     """
+    keys, offsets = grid.keys, grid.offsets
     valid = keys < np.inf
-    entered, heads, tails = _neighbor_relations(keys, offsets)
+    entered = grid.beaten.copy()
     entered[seeds] = True
     plateau = np.zeros(keys.size, dtype=bool)
-    plateau[heads] = True
-    plateau[tails] = True
+    plateau[grid.heads] = True
+    plateau[grid.tails] = True
     plateau &= valid
     if (valid & ~plateau & ~entered).any():
         return None
@@ -337,9 +362,10 @@ def watershed_zones(
     over every reachable cell.  Unmasked cells unreachable from every focus
     stay unlabeled.
     """
-    keys, width, offsets = _padded_keys(field, orientation)
+    grid = _key_grid(field, orientation)
     if not foci:
         raise ParameterError("watershed requires at least one focus")
+    keys, width, offsets = grid.keys, grid.width, grid.offsets
     geom = field.geometry
 
     valid = keys < np.inf
@@ -360,7 +386,7 @@ def watershed_zones(
         seed_cells.append(p)
     seeds = np.array(seed_cells)
 
-    order = _sorted_pop_order(keys, offsets, seeds)
+    order = _sorted_pop_order(grid, seeds)
     if order is None:
         order = np.array(
             _flood_order(keys.tolist(), (~valid).tolist(), seeds.tolist(), offsets, False),
@@ -656,18 +682,26 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
 
     yearly_foci: dict[int, tuple[FocusPoint, ...]] = {}
     yearly_zones: dict[int, ZoneMap] = {}
-    for year, f in zip(stack.years, stack.fields):
-        field = ScalarField(stack.geometry, f.values, stack.mask, f.units)
-        foci = detect_focus_points(field, params.orientation, year=year)
-        yearly_foci[year] = tuple(foci)
-        if not foci:
-            notices.append(f"year {year}: no focus points detected")
-            yearly_zones[year] = ZoneMap(stack.geometry, np.full(stack.geometry.shape, -1), {})
-            continue
-        yearly_zones[year] = watershed_zones(field, foci, params.orientation)
-        unreached = int((stack.mask & (yearly_zones[year].labels == -1)).sum())
-        if unreached:
-            notices.append(f"year {year}: {unreached} unmasked cells unreachable from any focus")
+    try:
+        for year, f in zip(stack.years, stack.fields):
+            field = ScalarField(stack.geometry, f.values, stack.mask, f.units)
+            # Focus detection and the watershed share one key grid per field.
+            _shared.grid = (field, params.orientation, _key_grid(field, params.orientation))
+            foci = detect_focus_points(field, params.orientation, year=year)
+            yearly_foci[year] = tuple(foci)
+            if not foci:
+                notices.append(f"year {year}: no focus points detected")
+                unlabeled = np.full(stack.geometry.shape, -1)
+                yearly_zones[year] = ZoneMap(stack.geometry, unlabeled, {})
+                continue
+            yearly_zones[year] = watershed_zones(field, foci, params.orientation)
+            unreached = int((stack.mask & (yearly_zones[year].labels == -1)).sum())
+            if unreached:
+                notices.append(
+                    f"year {year}: {unreached} unmasked cells unreachable from any focus"
+                )
+    finally:
+        _shared.grid = None
 
     table = mine_frequent_foci(
         [yearly_foci[y] for y in stack.years], stack.n_years, params.min_years

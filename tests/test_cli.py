@@ -569,3 +569,13 @@ class TestStartUpWithoutScipy:
             assert dir_bytes(tmp_path / f"blocked_compare_{source}") == dir_bytes(
                 tmp_path / f"compare_{source}"
             )
+
+
+def test_import_loads_no_process_pool():
+    # sweep_k imports these only when it starts worker processes.
+    proc = fresh_python(
+        "import sys, gridclust.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

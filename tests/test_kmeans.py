@@ -1,6 +1,10 @@
+import functools
 import itertools
+import multiprocessing
+import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from gridclust.ingest import AnnualMeanStack
 from gridclust.kmeans import FeatureMatrix, build_features, run_kmeans, sweep_k
 
 from conftest import make_field
+from test_cli import fresh_python
 
 
 def exhaustive_best_partition(X, k):
@@ -188,7 +193,10 @@ class TestRunKmeans:
         again = job(None)
         with ThreadPoolExecutor(max_workers=4) as pool:
             concurrent = list(pool.map(job, range(8)))
-        for other in [again] + concurrent:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=2, mp_context=fork) as pool:
+            forked = list(pool.map(functools.partial(run_kmeans, feats, 4), [3] * 4))
+        for other in [again] + concurrent + forked:
             assert np.array_equal(base.labels, other.labels)
             assert base.inertia == other.inertia
             assert np.array_equal(base.centroids, other.centroids)
@@ -257,3 +265,101 @@ class TestSweep:
         feats = FeatureMatrix.from_matrix(np.arange(6.0))
         with pytest.raises(ParameterError, match="k = 2 more than once"):
             sweep_k(feats, [3, 2, 2], restarts=1)
+
+
+def sweep_outcome(*args, **kwargs):
+    """sweep_k's maps, or its error as (type, message); no worker is left."""
+    try:
+        outcome = sweep_k(*args, **kwargs)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    assert multiprocessing.active_children() == []
+    return outcome
+
+
+@pytest.fixture
+def pooled_and_serial(monkeypatch):
+    """Outcomes of one sweep_k call on two forked workers, whatever the input
+    size and CPU count (a Lloyd run in the calling process fails), and on
+    one CPU."""
+    caller, lloyd = os.getpid(), kmeans._lloyd
+
+    def lloyd_in_a_worker(*args):
+        assert os.getpid() != caller, "a pooled sweep ran Lloyd in the calling process"
+        return lloyd(*args)
+
+    def outcomes(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(kmeans, "_POOL_MIN_WORK", 0)
+            m.setattr(kmeans, "_usable_cpus", lambda: 2)
+            m.setattr(kmeans, "_lloyd", lloyd_in_a_worker)
+            pooled = sweep_outcome(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(kmeans, "_usable_cpus", lambda: 1)
+            serial = sweep_outcome(*args, **kwargs)
+        return pooled, serial
+
+    return outcomes
+
+
+class TestPooledSweep:
+    FEATURES = FeatureMatrix.from_matrix(np.random.default_rng(11).normal(size=(90, 6)))
+
+    def test_maps_match_the_serial_loop_bit_for_bit(self, pooled_and_serial):
+        maps, serial = pooled_and_serial(self.FEATURES, [2, 5, 3], seed=4, restarts=5)
+        assert [m.k for m in maps] == [2, 3, 5]
+        for got, want in zip(maps, serial, strict=True):
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert (got.geometry, got.k, got.inertia, got.iterations, got.seed,
+                    got.inertia_history, got.converged_by) == (
+                want.geometry, want.k, want.inertia, want.iterations, want.seed,
+                want.inertia_history, want.converged_by)
+            assert not got.labels.flags.writeable
+            assert not got.centroids.flags.writeable
+
+    def test_k_above_the_cell_count_raises_the_serial_error(self, pooled_and_serial):
+        n = self.FEATURES.matrix.shape[0]
+        pooled, serial = pooled_and_serial(self.FEATURES, [2, n + 1], restarts=3)
+        assert pooled == serial == (ParameterError, f"k must be in [1, {n}], got {n + 1}")
+
+    def test_a_process_with_threads_sweeps_serially(self, monkeypatch):
+        monkeypatch.setattr(kmeans, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(kmeans, "_usable_cpus", lambda: 2)
+        pids, lloyd = [], kmeans._lloyd
+        monkeypatch.setattr(
+            kmeans, "_lloyd", lambda *args: pids.append(os.getpid()) or lloyd(*args)
+        )
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait, args=(60,))
+        waiting.start()
+        try:
+            sweep_outcome(self.FEATURES, [2, 3], restarts=2)
+        finally:
+            done.set()
+            waiting.join(60)
+        assert not waiting.is_alive()
+        assert pids == [os.getpid()] * 4
+
+    def test_internal_error_in_a_worker_comes_through(self, monkeypatch, pooled_and_serial):
+        true_centroids = kmeans._centroids
+        monkeypatch.setattr(
+            kmeans, "_centroids", lambda X, labels, k: true_centroids(X, labels, k) + 100.0
+        )
+        pooled, serial = pooled_and_serial(self.FEATURES, [3, 4], restarts=2)
+        assert pooled == serial
+        assert pooled[0] is InternalError and "inertia increased" in pooled[1]
+
+
+def test_single_cpu_sweep_loads_no_process_pool():
+    proc = fresh_python(
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import numpy as np\n"
+        "from gridclust.kmeans import _POOL_MIN_WORK, FeatureMatrix, sweep_k\n"
+        "X = np.random.default_rng(0).normal(size=(_POOL_MIN_WORK // 4, 2))\n"
+        "sweep_k(FeatureMatrix.from_matrix(X), [2, 3], restarts=2)\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

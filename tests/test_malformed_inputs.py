@@ -274,3 +274,23 @@ def test_broken_label_files_exit_2_or_3(raw):
         run("render", bad, "--out", out)
         run("compare", bad, good, "--out", out)
         run("compare", good, bad, "--dataset", root, "--out", out)
+
+
+def test_year_sums_beyond_float64_exit_2_naming_the_year_and_cell(tmp_path, capsys):
+    # Every value is finite, but cell (1,0) sums 360 days of 1e306.
+    lines = [day_line(d).split(",") for d in range(360)]
+    for parts in lines:
+        parts[NCOLS] = "1e306"
+    root = tmp_path / "ds"
+    write_dataset_files(root, year_text="".join(",".join(p) + "\n" for p in lines).encode())
+    fault = f"year {YEAR} cell (1,0): daily values sum beyond the float64 range"
+    for argv in (
+        ["validate", "--dataset", root],
+        ["kmeans", "--dataset", root, "--k", "1", "--restarts", "1", "--out", tmp_path / "km"],
+        ["mistic", "--dataset", root, "--out", tmp_path / "mi"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert fault in captured.out + captured.err

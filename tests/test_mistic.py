@@ -452,6 +452,26 @@ class TestRunMistic:
         assert np.array_equal(a.consensus.labels, b.consensus.labels)
         assert a.notices == b.notices
 
+    def test_one_key_grid_per_field(self, monkeypatch):
+        # Focus detection and the watershed share each year's neighbor relations.
+        stack, _ = make_planted_stack(nrows=12, ncols=12, n_years=5, b_exact=2, seed=9)
+        params = MisticParams(orientation="maxima", min_years=2)
+        expected = run_mistic(stack, params)
+        calls, relations = [], mistic._neighbor_relations
+        monkeypatch.setattr(
+            mistic, "_neighbor_relations", lambda *args: calls.append(1) or relations(*args)
+        )
+        shared = run_mistic(stack, params)
+        assert len(calls) == stack.n_years
+        assert shared.yearly_foci == expected.yearly_foci
+        for year in stack.years:
+            assert np.array_equal(shared.yearly_zones[year].labels,
+                                  expected.yearly_zones[year].labels)
+        # Outside run_mistic each public stage builds its own.
+        field = stack.fields[0]
+        watershed_zones(field, detect_focus_points(field, "maxima"), "maxima")
+        assert len(calls) == stack.n_years + 2
+
     @pytest.mark.parametrize(
         "theta_high, theta_dom", [(5.0, None), (0.3, 0.5), (0.6, 0.0), (0.0, None)]
     )

@@ -31,6 +31,7 @@ from gridclust.mistic import (
     _close_pairs,
     _components,
     _group_cells,
+    _key_grid,
     _padded_keys,
     _sorted_pop_order,
     build_cores,
@@ -359,14 +360,14 @@ def test_sorted_pop_order_matches_the_heap(case, orientation, data):
     extra = data.draw(st.sets(st.sampled_from(open_cells)))
     extra -= {fp.cell for fp in detected}
     more = detected + [FocusPoint(cell, 0, float(values[cell])) for cell in sorted(extra)]
-    keys, width, offsets = _padded_keys(field, orientation)
+    grid = _key_grid(field, orientation)
     for foci in (detected, more):
         if not foci:
             continue
         pops = []
         expected = heap_watershed(field, foci, orientation, pops)
-        seeds = np.array([(r + 1) * width + c + 1 for r, c in (fp.cell for fp in foci)])
-        order = _sorted_pop_order(keys, offsets, seeds)
+        seeds = np.array([(r + 1) * grid.width + c + 1 for r, c in (fp.cell for fp in foci)])
+        order = _sorted_pop_order(grid, seeds)
         assert order is not None
         assert order.tolist() == pops
         got = watershed_zones(field, foci, orientation)
