@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -257,25 +257,7 @@ def run_kmeans(
     a lower id.  ``own``, and with it the inertia, is the same computed
     value as the full row's entry.  A NaN bound fails the test.
     """
-    return _cluster_map(features, _lloyd(features.matrix, k, seed, max_iter))
-
-
-class _Run(NamedTuple):
-    """One Lloyd run as plain values, which a worker process can send back:
-    :class:`ClusterMap`'s fields with one label per row of the features."""
-
-    labels: np.ndarray
-    k: int
-    centroids: np.ndarray
-    inertia: float
-    iterations: int
-    seed: int
-    inertia_history: tuple[float, ...]
-    converged_by: str
-
-
-def _lloyd(X: np.ndarray, k: int, seed: int, max_iter: int) -> _Run:
-    """The checks and the Lloyd loop of :func:`run_kmeans` on the rows of ``X``."""
+    X = features.matrix
     n = X.shape[0]
     if n == 0:
         raise EmptyDomainError("feature matrix has no cells")
@@ -338,14 +320,11 @@ def _lloyd(X: np.ndarray, k: int, seed: int, max_iter: int) -> _Run:
 
     final_centroids = _centroids(X, labels, k)
     inertia = float(_own_sq_distances(X, final_centroids, labels, work).sum())
-    return _Run(
-        labels, k, final_centroids, inertia, iterations, seed, tuple(history), converged_by
+    grid = _labels_grid(features, labels)
+    return ClusterMap(
+        features.geometry, grid, k, final_centroids, inertia, iterations, seed,
+        tuple(history), converged_by,
     )
-
-
-def _cluster_map(features: FeatureMatrix, run: _Run) -> ClusterMap:
-    grid = _labels_grid(features, run.labels)
-    return ClusterMap(features.geometry, **run._replace(labels=grid)._asdict())
 
 
 def _usable_cpus() -> int:
@@ -353,21 +332,21 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_worker_matrix: np.ndarray | None = None  # the features, in sweep workers only
+_worker_features: FeatureMatrix | None = None  # in sweep workers only
 
 
-def _share_matrix(X: np.ndarray) -> None:
-    global _worker_matrix
-    _worker_matrix = X
+def _share_features(features: FeatureMatrix) -> None:
+    global _worker_features
+    _worker_features = features
 
 
-def _worker_lloyd(job: tuple[int, int]) -> _Run:
+def _worker_run(job: tuple[int, int]) -> ClusterMap:
     k, seed = job
-    return _lloyd(_worker_matrix, k, seed, _MAX_ITER)
+    return run_kmeans(_worker_features, k, seed)
 
 
-def _pooled_runs(X: np.ndarray, jobs: list[tuple[int, int]]) -> list[_Run] | None:
-    """The :func:`_lloyd` run of each ``(k, seed)`` job, in job order, from
+def _pooled_runs(features: FeatureMatrix, jobs: list[tuple[int, int]]) -> list[ClusterMap] | None:
+    """The :func:`run_kmeans` map of each ``(k, seed)`` job, in job order, from
     forked worker processes, one per usable CPU; None where that does not pay.
 
     The pool starts only with at least two usable CPUs, the fork start
@@ -375,12 +354,12 @@ def _pooled_runs(X: np.ndarray, jobs: list[tuple[int, int]]) -> list[_Run] | Non
     thread in this process, which could hold a lock that a forked child
     would wait on forever.  (A spawned worker would import numpy and this
     package afresh, at about 0.3 s, more than a sweep saves.)  The workers
-    inherit ``X``.  Results are read in job order, so the error raised is
-    the first failing job's, as in the serial loop, and every worker has
-    been joined when this returns or raises.
+    inherit ``features``.  Results are read in job order, so the error
+    raised is the first failing job's, as in the serial loop, and every
+    worker has been joined when this returns or raises.
     """
     workers = min(_usable_cpus(), len(jobs))
-    if workers < 2 or X.shape[0] * len(jobs) < _POOL_MIN_WORK:
+    if workers < 2 or len(features.cells) * len(jobs) < _POOL_MIN_WORK:
         return None
     if threading.active_count() > 1:
         return None
@@ -393,15 +372,15 @@ def _pooled_runs(X: np.ndarray, jobs: list[tuple[int, int]]) -> list[_Run] | Non
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_share_matrix, initargs=(X,)
+        workers, mp_context=context, initializer=_share_features, initargs=(features,)
     ) as pool:
-        return list(pool.map(_worker_lloyd, jobs))
+        return list(pool.map(_worker_run, jobs))
 
 
-def _first_lowest(runs: Iterable) -> list:
+def _first_lowest(runs: Iterable[ClusterMap]) -> list[ClusterMap]:
     """Per k, in order of first appearance, the first run of strictly lowest
-    inertia among ``runs`` (:class:`ClusterMap` or :class:`_Run` values)."""
-    best = {}
+    inertia among ``runs``."""
+    best: dict[int, ClusterMap] = {}
     for run in runs:
         if run.k not in best or run.inertia < best[run.k].inertia:
             best[run.k] = run
@@ -431,7 +410,8 @@ def sweep_k(
     if repeated:
         raise ParameterError(f"ks lists k = {', '.join(map(str, repeated))} more than once")
     jobs = [(k, seed + r) for k in ks for r in range(restarts)]
-    runs = _pooled_runs(features.matrix, jobs)
+    runs = _pooled_runs(features, jobs)
     if runs is None:
         return _first_lowest(run_kmeans(features, k, seed=run_seed) for k, run_seed in jobs)
-    return [_cluster_map(features, run) for run in _first_lowest(runs)]
+    # Unpickled arrays are writeable; replace re-runs __post_init__, which freezes them.
+    return [replace(run) for run in _first_lowest(runs)]

@@ -503,6 +503,13 @@ def _cell_cores(zm: ZoneMap, core_of: Callable[[CellIndex], int]) -> np.ndarray:
     return np.where(keys[slot] == flat, ids[slot], -1)
 
 
+def _check_grouping(mode: str, radius: int) -> None:
+    if mode not in (MODE_CC, MODE_CR):
+        raise ParameterError(f"mode must be 'cc' or 'cr', got {mode!r}")
+    if mode == MODE_CR and radius < 1:
+        raise ParameterError(f"CR mode requires radius >= 1, got radius={radius}")
+
+
 def build_cores(
     table: FocusFrequencyTable,
     mode: str = MODE_CC,
@@ -520,10 +527,7 @@ def build_cores(
     frequency, ties by smallest member cell.  Dominance is left unset; see
     :func:`classify_core`.
     """
-    if mode not in (MODE_CC, MODE_CR):
-        raise ParameterError(f"mode must be 'cc' or 'cr', got {mode!r}")
-    if mode == MODE_CR and radius < 1:
-        raise ParameterError("CR mode requires radius >= 1")
+    _check_grouping(mode, radius)
     cells = sorted(table.counts)
     if not cells:
         return []
@@ -667,11 +671,14 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
     """Compose the full pipeline over an annual-mean stack.
 
     Every year runs over the stack's combined mask so recurrence is counted
-    on a stable domain.
+    on a stable domain.  Every parameter is checked before the first year.
     """
     if stack.n_years == 0:
         raise EmptyDomainError("stack has no years")
     _check_orientation(params.orientation)
+    if params.min_years < 1:
+        raise ParameterError(f"min_years must be >= 1, got min_years={params.min_years}")
+    _check_grouping(params.mode, params.radius)
     theta_dom = params.theta_dom
     if theta_dom is None:
         # Derived from the frequent threshold, clamped so the CHD bar stays
@@ -695,11 +702,6 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
                 yearly_zones[year] = ZoneMap(stack.geometry, unlabeled, {})
                 continue
             yearly_zones[year] = watershed_zones(field, foci, params.orientation)
-            unreached = int((stack.mask & (yearly_zones[year].labels == -1)).sum())
-            if unreached:
-                notices.append(
-                    f"year {year}: {unreached} unmasked cells unreachable from any focus"
-                )
     finally:
         _shared.grid = None
 

@@ -13,7 +13,8 @@ from gridclust.gridcore import (
 from gridclust.synth import write_planted_dataset
 
 # Property tests draw the same examples on every run and keep no example
-# database, so the suite is reproducible and leaves no .hypothesis/ behind.
+# database, so the suite is reproducible.  Hypothesis still writes
+# .hypothesis/constants/ where it runs; .gitignore covers it.
 settings.register_profile("gridclust", derandomize=True, database=None, deadline=None)
 settings.load_profile("gridclust")
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gridclust
-from gridclust import __version__, kmeans
+from gridclust import __version__, kmeans, mistic
 from gridclust.cli import main
 
 from test_ingest import constant_lines, manifest_doc, write_gts
@@ -268,6 +268,26 @@ class TestMisticCommand:
         assert run("mistic", "--dataset", ds, "--min-years", "1", "--theta-high", "5",
                    "--out", out) == 2
         assert "thresholds must satisfy" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--min-years", "0"], "min_years"), (["--mode", "cr", "--radius", "0"], "radius")],
+    )
+    def test_bad_grouping_or_min_years_exits_two_before_the_years(
+        self, demo_dataset, tmp_path, capsys, monkeypatch, flags, named
+    ):
+        calls, detect = [], mistic.detect_focus_points
+        monkeypatch.setattr(
+            mistic, "detect_focus_points", lambda *a, **kw: calls.append(1) or detect(*a, **kw)
+        )
+        root, _ = demo_dataset
+        out = tmp_path / "out"
+        assert run("mistic", "--dataset", root, *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert named in err and "theta" not in err
+        assert calls == []
         assert not out.exists()
 
 

@@ -282,17 +282,17 @@ def pooled_and_serial(monkeypatch):
     """Outcomes of one sweep_k call on two forked workers, whatever the input
     size and CPU count (a Lloyd run in the calling process fails), and on
     one CPU."""
-    caller, lloyd = os.getpid(), kmeans._lloyd
+    caller, run_kmeans = os.getpid(), kmeans.run_kmeans
 
-    def lloyd_in_a_worker(*args):
+    def run_in_a_worker(*args, **kwargs):
         assert os.getpid() != caller, "a pooled sweep ran Lloyd in the calling process"
-        return lloyd(*args)
+        return run_kmeans(*args, **kwargs)
 
     def outcomes(*args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(kmeans, "_POOL_MIN_WORK", 0)
             m.setattr(kmeans, "_usable_cpus", lambda: 2)
-            m.setattr(kmeans, "_lloyd", lloyd_in_a_worker)
+            m.setattr(kmeans, "run_kmeans", run_in_a_worker)
             pooled = sweep_outcome(*args, **kwargs)
         with monkeypatch.context() as m:
             m.setattr(kmeans, "_usable_cpus", lambda: 1)
@@ -326,9 +326,11 @@ class TestPooledSweep:
     def test_a_process_with_threads_sweeps_serially(self, monkeypatch):
         monkeypatch.setattr(kmeans, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(kmeans, "_usable_cpus", lambda: 2)
-        pids, lloyd = [], kmeans._lloyd
+        pids, run_kmeans = [], kmeans.run_kmeans
         monkeypatch.setattr(
-            kmeans, "_lloyd", lambda *args: pids.append(os.getpid()) or lloyd(*args)
+            kmeans,
+            "run_kmeans",
+            lambda *args, **kwargs: pids.append(os.getpid()) or run_kmeans(*args, **kwargs),
         )
         done = threading.Event()
         waiting = threading.Thread(target=done.wait, args=(60,))

@@ -485,6 +485,27 @@ class TestRunMistic:
         with pytest.raises(ParameterError, match="thresholds must satisfy"):
             run_mistic(stack, params)
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            (MisticParams(min_years=0), "min_years"),
+            (MisticParams(min_years=0, theta_dom=0.3), "min_years"),
+            (MisticParams(min_years=1, mode="cr", radius=0), "radius"),
+            (MisticParams(min_years=1, mode="ring"), "mode"),
+        ],
+    )
+    def test_grouping_and_min_years_checked_before_the_years(self, monkeypatch, params, named):
+        calls = []
+        detect = mistic.detect_focus_points
+        monkeypatch.setattr(
+            mistic, "detect_focus_points", lambda *a, **kw: calls.append(1) or detect(*a, **kw)
+        )
+        stack = _stack_of([make_field(np.full((3, 3), 2.0), units=CELSIUS)])
+        with pytest.raises(ParameterError, match=named) as raised:
+            run_mistic(stack, params)
+        assert "theta" not in str(raised.value)
+        assert calls == []
+
     def test_theta_dom_defaults_to_frequency_threshold(self):
         stack, _ = make_planted_stack(nrows=12, ncols=12, n_years=5, b_exact=2, seed=9)
         res = run_mistic(stack, MisticParams(orientation="maxima", min_years=2))

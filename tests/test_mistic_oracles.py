@@ -16,7 +16,7 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import coo_matrix
@@ -24,10 +24,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from gridclust.errors import ParameterError
-from gridclust.gridcore import NEIGHBOR_OFFSETS, CellIndex, ZoneMap, chebyshev
+from gridclust.gridcore import CELSIUS, NEIGHBOR_OFFSETS, CellIndex, ZoneMap, chebyshev
+from gridclust.ingest import AnnualMeanStack
 from gridclust.mistic import (
     Core,
     FocusPoint,
+    MisticParams,
     _close_pairs,
     _components,
     _group_cells,
@@ -38,6 +40,7 @@ from gridclust.mistic import (
     consensus_zone_map,
     detect_focus_points,
     mine_frequent_foci,
+    run_mistic,
     watershed_zones,
 )
 
@@ -537,3 +540,20 @@ def test_cores_and_consensus_with_sparse_large_labels_match_loop_versions(
     for used in ([cores] if cores else []) + [data.draw(foreign_cores(mask.shape))]:
         got = consensus_zone_map(yearly_zones, used).labels
         assert np.array_equal(got, oracle_consensus_labels(yearly_zones, used))
+
+
+@settings(max_examples=40)
+@given(stack=tie_heavy_stacks(), orientation=orientations)
+def test_run_mistic_zones_label_exactly_the_mask_in_years_with_foci(stack, orientation):
+    # Every connected part of the domain holds an unbeaten plateau, hence a
+    # focus, unless one plateau spans the whole domain and there is none.
+    values, mask = stack
+    if not mask.any():
+        return
+    fields = tuple(make_field(v, mask=mask, units=CELSIUS) for v in values)
+    years = tuple(range(2000, 2000 + len(fields)))
+    annual = AnnualMeanStack(fields[0].geometry, CELSIUS, years, fields, mask)
+    res = run_mistic(annual, MisticParams(orientation=orientation, min_years=1))
+    for year in years:
+        if res.yearly_foci[year]:
+            assert np.array_equal(res.yearly_zones[year].labels >= 0, mask)
