@@ -19,6 +19,11 @@ declared calendar, every non-sentinel value must be finite, and errors name
 the offending file, field or year/day/cell.  :func:`load_annual_stack`
 reduces each year file to its annual means as soon as it is read;
 :func:`load_dataset` keeps every daily value.
+
+On a large dataset :func:`load_annual_stack`, :func:`validate_dataset` and
+:func:`write_dataset` handle one year file per job on forked worker
+processes; results, files and the first error raised are those of the
+serial loop over the years.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._forked import forked_map
+from ._forked import usable_cpus as _usable_cpus
 from .errors import (
     CoverageError,
     DatasetError,
@@ -75,6 +82,19 @@ RESAMPLE_NEAREST = "nearest"
 # A resampled target cell keeps a value only if valid source cells cover at
 # least this fraction of its area.
 MIN_COVERAGE = 0.5
+
+# Datasets of fewer daily values than this are read and written in this
+# process, larger ones one year file per job on forked workers.  On a 2-vCPU
+# host, two workers break even at about 100,000 values of 17 digits when
+# reading (200,000 of 4 digits) and below 50,000 when writing.
+_FORK_MIN_VALUES = 100_000
+
+
+def _year_workers(like) -> int:
+    """The worker count for a map over the year files of ``like`` (a series
+    or a manifest)."""
+    values = like.geometry.ncells * sum(days_in_year(like.calendar, y) for y in like.years)
+    return _usable_cpus() if values >= _FORK_MIN_VALUES else 1
 
 
 @dataclass(frozen=True)
@@ -254,16 +274,20 @@ def validate_dataset(root: str | os.PathLike) -> list[str]:
     FileNotFoundError (there is nothing to check against).
     """
     root = Path(root)
-    violations: list[str] = []
     try:
         manifest = load_manifest(root)
     except DatasetError as exc:
         return [str(exc)]
-    for year in manifest.years:
+
+    def year_violation(year: int) -> str | None:
         try:
             _valid_sums(_load_year_file(root, year, manifest), year)
         except (DatasetError, FileNotFoundError) as exc:
-            violations.append(str(exc))
+            return str(exc)
+        return None
+
+    found = forked_map(year_violation, manifest.years, _year_workers(manifest))
+    violations = [v for v in found if v is not None]
     elev = root / ELEVATION_NAME
     if elev.exists():
         try:
@@ -307,9 +331,12 @@ def write_dataset(
         json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     mv = series.missing_value
-    for year in series.years:
+
+    def write_year(year: int) -> None:
         days = series.year_values(year).reshape(-1, series.geometry.ncells)
         _write_grid_csv(root / DATA_DIR / f"{year}.csv", days, np.isnan(days), mv)
+
+    forked_map(write_year, series.years, _year_workers(series))
     if elevation is not None:
         write_elevation(elevation, root / ELEVATION_NAME, mv)
 
@@ -422,14 +449,19 @@ def load_annual_stack(
 ) -> tuple[DatasetManifest, AnnualMeanStack]:
     """The manifest and ``build_annual_stack(load_dataset(root), min_valid_fraction)``,
     with each year file reduced to its annual field as soon as it is parsed,
-    so only one year's daily values are held at a time."""
+    so a process holds one year's daily values at a time.  On a large
+    dataset the year files are parsed on forked workers; the error raised
+    is the first faulty year's, as in a serial read."""
     if not (0.0 < min_valid_fraction <= 1.0):
         raise ParameterError("min_valid_fraction must be in (0, 1]")
     root = Path(root)
     manifest = load_manifest(root)
-    fields = tuple(
-        _annual_field(_load_year_file(root, year, manifest), manifest, min_valid_fraction, year)
-        for year in manifest.years
+    fields = forked_map(
+        lambda year: _annual_field(
+            _load_year_file(root, year, manifest), manifest, min_valid_fraction, year
+        ),
+        manifest.years,
+        _year_workers(manifest),
     )
     mask = np.logical_and.reduce([f.mask for f in fields])
     return manifest, AnnualMeanStack(manifest.geometry, manifest.units, manifest.years, fields, mask)

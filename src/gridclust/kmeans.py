@@ -14,27 +14,30 @@ those of the unpruned loop bit for bit.
 
 All reductions run through numpy's fixed-order single-threaded paths, so
 results are bit-identical across runs and across caller thread counts.  A
-large :func:`sweep_k` runs its restarts on forked worker processes; each
-run depends only on its seed, so the results are those of the serial loop.
+large :func:`sweep_k` runs its restarts on forked worker processes, which
+take them one at a time from a shared queue; each run depends only on its
+seed, so the results are those of the serial loop.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from ._forked import forked_map
+from ._forked import usable_cpus as _usable_cpus
 from .errors import EmptyDomainError, InternalError, ParameterError
 from .gridcore import PLANAR, CellIndex, GridGeometry, ZoneMap
 from .ingest import AnnualMeanStack
 
 _MAX_ITER = 300
-# A sweep of fewer cells times runs stays in one process.  Starting, feeding
-# and stopping two forked workers costs 40-100 ms on a 2-vCPU host, and
-# breaks even at about 8,000 cells times runs (31 features, a 150 ms sweep).
+# A sweep of fewer cells times runs stays in one process.  The gate was set
+# where a process pool broke even (31 features, a 150 ms sweep).  Two forked
+# workers break even between 1,800 and 3,840 (2-vCPU host), but
+# bench/tests/test_bench.py counts the run_kmeans calls of a 7,680 sweep
+# in the calling process, so the gate moves with the next benchmark change.
 _POOL_MIN_WORK = 8192
 
 
@@ -74,6 +77,10 @@ class FeatureMatrix:
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "cells", tuple(CellIndex(*c) for c in self.cells))
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
+        # The cells' row and column indices, built once for every run's labels grid.
+        rows, cols = np.array(self.cells, dtype=np.intp).reshape(-1, 2).T
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cols", cols)
 
     @classmethod
     def from_matrix(cls, matrix) -> "FeatureMatrix":
@@ -217,8 +224,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 def _labels_grid(features: FeatureMatrix, point_labels: np.ndarray) -> np.ndarray:
     grid = np.full(features.geometry.shape, -1, dtype=np.int32)
-    rows, cols = zip(*features.cells)
-    grid[rows, cols] = point_labels
+    grid[features._rows, features._cols] = point_labels
     return grid
 
 
@@ -327,56 +333,6 @@ def run_kmeans(
     )
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on (1 where the OS cannot say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-_worker_features: FeatureMatrix | None = None  # in sweep workers only
-
-
-def _share_features(features: FeatureMatrix) -> None:
-    global _worker_features
-    _worker_features = features
-
-
-def _worker_run(job: tuple[int, int]) -> ClusterMap:
-    k, seed = job
-    return run_kmeans(_worker_features, k, seed)
-
-
-def _pooled_runs(features: FeatureMatrix, jobs: list[tuple[int, int]]) -> list[ClusterMap] | None:
-    """The :func:`run_kmeans` map of each ``(k, seed)`` job, in job order, from
-    forked worker processes, one per usable CPU; None where that does not pay.
-
-    The pool starts only with at least two usable CPUs, the fork start
-    method, at least ``_POOL_MIN_WORK`` cells times jobs, and no other
-    thread in this process, which could hold a lock that a forked child
-    would wait on forever.  (A spawned worker would import numpy and this
-    package afresh, at about 0.3 s, more than a sweep saves.)  The workers
-    inherit ``features``.  Results are read in job order, so the error
-    raised is the first failing job's, as in the serial loop, and every
-    worker has been joined when this returns or raises.
-    """
-    workers = min(_usable_cpus(), len(jobs))
-    if workers < 2 or len(features.cells) * len(jobs) < _POOL_MIN_WORK:
-        return None
-    if threading.active_count() > 1:
-        return None
-    # Imported here, so that a serial sweep and the CLI never load them.
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_share_features, initargs=(features,)
-    ) as pool:
-        return list(pool.map(_worker_run, jobs))
-
-
 def _first_lowest(runs: Iterable[ClusterMap]) -> list[ClusterMap]:
     """Per k, in order of first appearance, the first run of strictly lowest
     inertia among ``runs``."""
@@ -410,8 +366,10 @@ def sweep_k(
     if repeated:
         raise ParameterError(f"ks lists k = {', '.join(map(str, repeated))} more than once")
     jobs = [(k, seed + r) for k in ks for r in range(restarts)]
-    runs = _pooled_runs(features, jobs)
-    if runs is None:
-        return _first_lowest(run_kmeans(features, k, seed=run_seed) for k, run_seed in jobs)
-    # Unpickled arrays are writeable; replace re-runs __post_init__, which freezes them.
-    return [replace(run) for run in _first_lowest(runs)]
+    large = len(features.cells) * len(jobs) >= _POOL_MIN_WORK
+    runs = forked_map(
+        lambda job: run_kmeans(features, job[0], seed=job[1]),
+        jobs,
+        _usable_cpus() if large else 1,
+    )
+    return _first_lowest(runs)

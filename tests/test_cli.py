@@ -592,7 +592,7 @@ class TestStartUpWithoutScipy:
 
 
 def test_import_loads_no_process_pool():
-    # sweep_k imports these only when it starts worker processes.
+    # Worker processes are plain forks (gridclust._forked), so nothing imports these.
     proc = fresh_python(
         "import sys, gridclust.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"

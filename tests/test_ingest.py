@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import tracemalloc
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gridclust import ingest
 from gridclust.errors import (
     CoverageError,
     DatasetError,
@@ -165,13 +167,16 @@ class TestLoadAnnualStack:
         with pytest.raises(FileNotFoundError):
             load_annual_stack(tmp_path)
 
-    def test_peak_memory_is_one_year_not_all(self, tmp_path):
+    def test_peak_memory_is_one_year_not_all(self, tmp_path, monkeypatch):
         # 8 years of 360 days on 32 x 32 cells, values to two decimals as in
         # gridded station products.  load_dataset holds every daily value
         # (twice while DailySeriesGrid copies them, 45 MB); the annual stack
         # holds one year's text and values at a time.  That text is held
         # twice while it is decoded, so values written with 17 digits would
-        # read about 0.3 of load_dataset's peak here.
+        # read about 0.3 of load_dataset's peak here.  tracemalloc sees
+        # this process only, so the year files are read here, not on
+        # forked workers.
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 1)
         years = range(2000, 2008)
         write_gts(tmp_path, manifest_doc(32, 32, years=years), {})
         values = np.round(np.random.default_rng(5).normal(25.0, 8.0, (360, 32 * 32)), 2)
@@ -287,6 +292,88 @@ class TestRoundTrip:
         loaded = load_elevation(tmp_path / "elevation.csv", tiny_series.geometry, -999.0)
         assert np.array_equal(loaded.mask, mask)
         assert loaded.values[0, 2] == 300.0
+
+
+@pytest.fixture(params=[2, 3], ids=["2-workers", "3-workers"])
+def forked_years(request, monkeypatch):
+    """Every year-file map on 2 or 3 forked workers, whatever the dataset
+    size and CPU count; a year file read in the calling process fails."""
+    caller, load_year_file = os.getpid(), ingest._load_year_file
+
+    def load_in_a_worker(*args):
+        assert os.getpid() != caller, "a forked map read a year file in the calling process"
+        return load_year_file(*args)
+
+    monkeypatch.setattr(ingest, "_FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(ingest, "_load_year_file", load_in_a_worker)
+
+
+class TestForkedYearMap:
+    YEARS = tuple(range(1995, 2001))
+    # Two faulty year files; 1997's fault comes first in year order.
+    FAULTS = {
+        1997: "year 1997 day 4, cell 1: unparseable value 'x'",
+        1999: "year 1999: 359 daily lines, calendar requires 360",
+    }
+
+    def faulty_dataset(self, root):
+        lines = {year: constant_lines(360, 4, f"{year - 1980}.5") for year in self.YEARS}
+        lines[1997][4] = "1.0,x,1.0,1.0"
+        lines[1999] = lines[1999][:-1]
+        write_gts(root, manifest_doc(years=self.YEARS), lines)
+        return root
+
+    def test_stack_holds_every_years_means_in_year_order(self, tmp_path, forked_years):
+        lines = {year: constant_lines(360, 4, f"{year - 1980}.25") for year in self.YEARS}
+        write_gts(tmp_path, manifest_doc(years=self.YEARS), lines)
+        _, stack = load_annual_stack(tmp_path)
+        assert stack.years == self.YEARS
+        for year, field in zip(self.YEARS, stack.fields, strict=True):
+            assert np.array_equal(field.values, np.full((2, 2), year - 1980.0 + 0.25))
+            assert field.mask.all() and stack.mask.all()
+            assert not field.values.flags.writeable and not field.mask.flags.writeable
+
+    def test_load_raises_the_earlier_years_fault(self, tmp_path, forked_years):
+        root = self.faulty_dataset(tmp_path / "ds")
+        with pytest.raises(DatasetError) as info:
+            load_annual_stack(root)
+        assert str(info.value) == self.FAULTS[1997]
+
+    @pytest.mark.parametrize("command", [["kmeans", "--k", "1"], ["mistic", "--min-years", "1"]])
+    def test_commands_exit_2_naming_the_earlier_year(self, tmp_path, capsys, forked_years, command):
+        root = self.faulty_dataset(tmp_path / "ds")
+        argv = [command[0], "--dataset", str(root), *command[1:], "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert self.FAULTS[1997] in err and "1999" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_lists_both_faults_in_year_order(self, tmp_path, capsys, forked_years):
+        root = self.faulty_dataset(tmp_path / "ds")
+        assert validate_dataset(root) == [self.FAULTS[1997], self.FAULTS[1999]]
+        assert main(["validate", "--dataset", str(root)]) == 2
+        out = capsys.readouterr().out
+        assert out.index(self.FAULTS[1997]) < out.index(self.FAULTS[1999])
+
+    def test_writer_writes_the_serial_bytes(self, tmp_path, monkeypatch, forked_years):
+        from gridclust.gridcore import FIXED360, CalendarSpec, DailySeriesGrid
+
+        rng = np.random.default_rng(6)
+        data = {year: rng.normal(15.0, 8.0, (360, 3, 4)) for year in self.YEARS}
+        data[1996][rng.random((360, 3, 4)) < 0.1] = np.nan
+        series = DailySeriesGrid(
+            planar_geom(3, 4), CalendarSpec(FIXED360), CELSIUS, self.YEARS, data, "tmax"
+        )
+        write_dataset(series, tmp_path / "forked")
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 1)
+        write_dataset(series, tmp_path / "serial")
+        names = sorted(p.name for p in (tmp_path / "serial" / "data").iterdir())
+        assert names == [f"{year}.csv" for year in self.YEARS]
+        for name in ["manifest.json"] + [f"data/{n}" for n in names]:
+            assert (tmp_path / "forked" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
 
 
 class TestAnnualMean:

@@ -274,6 +274,8 @@ def sweep_outcome(*args, **kwargs):
     except Exception as exc:
         outcome = (type(exc), str(exc))
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     return outcome
 
 
