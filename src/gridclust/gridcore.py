@@ -68,11 +68,6 @@ class CellIndex(NamedTuple):
     col: int
 
 
-def chebyshev(a: CellIndex, b: CellIndex) -> int:
-    """Chebyshev (chessboard) distance between two cells."""
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 @dataclass(frozen=True)
 class GridGeometry:
     """Regular rectangular grid, geographic (degrees) or planar (meters).
@@ -306,9 +301,11 @@ class ZoneMap:
         if arr.size and arr.min() < -1:
             raise ParameterError("labels must be >= -1")
         object.__setattr__(self, "labels", _freeze(arr))
-        object.__setattr__(
-            self, "anchors", {int(k): CellIndex(*v) for k, v in dict(self.anchors).items()}
-        )
+        anchors = {
+            int(k): v if type(v) is CellIndex else CellIndex(*v)
+            for k, v in dict(self.anchors).items()
+        }
+        object.__setattr__(self, "anchors", anchors)
 
     @property
     def nzones(self) -> int:
@@ -321,10 +318,6 @@ class ZoneMap:
     def present_labels(self) -> list[int]:
         vals = np.unique(self.labels)
         return [int(v) for v in vals if v >= 0]
-
-    def cells_of(self, label: int) -> list[CellIndex]:
-        rows, cols = np.nonzero(self.labels == label)
-        return [CellIndex(int(r), int(c)) for r, c in zip(rows, cols)]
 
 
 def neighbors8(

@@ -13,16 +13,18 @@ The pipeline runs in five stages over a stack of annual fields:
    seeded, the pop order is a sort by (key, flat index) in which only
    plateau cells replay a heap, over equal keys alone; other seed sets
    fall back to the full heap;
-3. recurrence mining: counting, per exact cell, how many years produced a
-   focus there, with a frequent flag at ``count >= min_years``;
+3. recurrence mining: one ``Counter`` over every year's focus cells, with a
+   frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
    contiguity (CC) or within a Chebyshev radius with transitive closure
    (CR), classified by member recurrence into CHD / CLD / CND.  Close pairs
    come from a window search over sorted flat cell keys and are closed
    into groups by a numpy connected-components helper;
 5. consensus: per-cell modal core assignment across all years.  Core
-   extents and consensus share one zone-to-core translation (through each
-   zone's anchor focus), with one table entry per anchored zone.
+   extents and consensus share one zone-to-core translation: each zone's
+   anchor focus is looked up in a member-to-core dict, one C-level map per
+   year, and only an anchor outside every core takes the consensus's
+   nearest-member search.
 
 The number of cores is an output of the process, never an input.
 """
@@ -31,7 +33,11 @@ from __future__ import annotations
 
 import heapq
 import threading
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import chain, repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -266,9 +272,7 @@ def detect_focus_points(
     rows, cols = np.divmod(emit, grid.width)
     rows, cols = (rows - 1).tolist(), (cols - 1).tolist()
     values = field.values[rows, cols].tolist()
-    return [
-        FocusPoint(CellIndex(r, c), year, v) for r, c, v in zip(rows, cols, values)
-    ]
+    return list(map(FocusPoint, map(CellIndex, rows, cols), repeat(year), values))
 
 
 def _flood_order(
@@ -343,6 +347,16 @@ def _sorted_pop_order(grid: _KeyGrid, seeds: np.ndarray) -> np.ndarray | None:
     return cells[np.lexsort((replay_at[cells], merge_at[cells], keys[cells]))]
 
 
+def _int_cells(cells: Sequence) -> np.ndarray | None:
+    """``cells`` as an (n, 2) int64 array, or None unless each is a pair of
+    Python ints (``np.fromiter`` casts a float, a bool or a digit string, and
+    fails beyond int64)."""
+    with suppress(TypeError, OverflowError):
+        if not {*map(len, cells)} - {2} and {*map(type, chain.from_iterable(cells))} <= {int}:
+            return np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
+    return None
+
+
 def watershed_zones(
     field: ScalarField, foci: Sequence[FocusPoint], orientation: str
 ) -> ZoneMap:
@@ -369,22 +383,28 @@ def watershed_zones(
     geom = field.geometry
 
     valid = keys < np.inf
-    anchors: dict[int, CellIndex] = {}
-    seed_cells: list[int] = []
-    seen: set[int] = set()
-    for i, fp in enumerate(foci):
-        r, c = fp.cell
-        if not geom.contains(r, c):
-            raise ParameterError(f"focus {fp.cell} outside the grid")
-        p = int((r + 1) * width + c + 1)
-        if not valid[p]:
-            raise ParameterError(f"focus {fp.cell} lies on a masked cell")
-        if p in seen:
-            raise ParameterError(f"duplicate focus cell {fp.cell}")
-        seen.add(p)
-        anchors[i] = CellIndex(r, c)
-        seed_cells.append(p)
-    seeds = np.array(seed_cells)
+    cells = [fp.cell for fp in foci]
+    rc = _int_cells(cells)
+    inside = rc is not None and ((rc >= 0) & (rc < geom.shape)).all()
+    seeds = (rc[:, 0] + 1) * width + rc[:, 1] + 1 if inside else None
+    if not inside or not valid[seeds].all() or np.bincount(seeds).max() > 1:
+        # One focus at a time: name the first fault, or place the foci whose
+        # cells are not pairs of Python ints.
+        seed_cells: list[int] = []
+        seen: set[int] = set()
+        for fp in foci:
+            r, c = fp.cell
+            if not geom.contains(r, c):
+                raise ParameterError(f"focus {fp.cell} outside the grid")
+            p = int((r + 1) * width + c + 1)
+            if not valid[p]:
+                raise ParameterError(f"focus {fp.cell} lies on a masked cell")
+            if p in seen:
+                raise ParameterError(f"duplicate focus cell {fp.cell}")
+            seen.add(p)
+            seed_cells.append(p)
+        seeds = np.array(seed_cells)
+    anchors = dict(enumerate(cells))
 
     order = _sorted_pop_order(grid, seeds)
     if order is None:
@@ -419,11 +439,7 @@ def mine_frequent_foci(
     Every observed focus cell enters the table; a cell is flagged frequent
     iff its count reaches ``min_years``.
     """
-    counts: dict[CellIndex, int] = {}
-    for year_foci in yearly_foci:
-        for fp in year_foci:
-            cell = CellIndex(*fp.cell)
-            counts[cell] = counts.get(cell, 0) + 1
+    counts = Counter(fp.cell for year_foci in yearly_foci for fp in year_foci)
     return FocusFrequencyTable(counts, total_years, min_years)
 
 
@@ -472,7 +488,8 @@ def _group_cells(cells: list[CellIndex], max_dist: int) -> list[list[CellIndex]]
     Each group keeps the order of ``cells``, so sorted input gives sorted
     groups; groups come in the order of their first cell.
     """
-    heads, tails = _close_pairs(np.array(cells, dtype=np.int64).reshape(-1, 2), max_dist)
+    rc = np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
+    heads, tails = _close_pairs(rc, max_dist)
     component = _components(len(cells), heads, tails)
     groups: dict[int, list[CellIndex]] = {}
     for cell, k in zip(cells, component.tolist()):
@@ -487,16 +504,25 @@ def _shared_geometry(yearly_zones: Sequence[ZoneMap]) -> GridGeometry:
     return geom
 
 
-def _cell_cores(zm: ZoneMap, core_of: Callable[[CellIndex], int]) -> np.ndarray:
+def _cell_cores(
+    zm: ZoneMap, core_of: Mapping[CellIndex, int], nearest: Callable[[CellIndex], int]
+) -> np.ndarray:
     """The core id of every (flat) cell of ``zm``: ``core_of`` of its zone's
-    anchor, -1 for an unlabeled cell or a label without an anchor.
+    anchor, else ``nearest(anchor)``; -1 for an unlabeled cell or a label
+    without an anchor.
 
-    The table holds one entry per anchor with a non-negative key, sorted by
-    label behind an entry for label -1, and each cell finds its label's
-    entry by binary search: memory follows the zones, not the largest label.
+    Anchors are looked up in one C-level ``map`` per zone map; ``nearest``
+    runs only for anchors that ``core_of`` lacks.  The table holds one entry
+    per anchor with a non-negative key, sorted by label behind an entry for
+    label -1, and each cell finds its label's entry by binary search: memory
+    follows the zones, not the largest label.
     """
     labels = sorted(label for label in zm.anchors if label >= 0)
-    ids = np.array([-1] + [core_of(zm.anchors[label]) for label in labels], dtype=np.intp)
+    anchors = list(map(zm.anchors.__getitem__, labels))
+    ids = list(map(core_of.get, anchors))
+    if None in ids:
+        ids = [nearest(a) if i is None else i for a, i in zip(anchors, ids)]
+    ids = np.array([-1] + ids, dtype=np.intp)
     keys = np.array([-1] + labels, dtype=np.int64)
     flat = zm.labels.ravel()
     slot = np.searchsorted(keys, flat, side="right") - 1
@@ -545,7 +571,7 @@ def build_cores(
         # holds the (flat) cell.
         zone_hit = np.zeros((len(groups), geom.nrows * geom.ncols), dtype=bool)
         for zm in yearly_zones:
-            core_ids = _cell_cores(zm, lambda anchor: core_of.get(anchor, -1))
+            core_ids = _cell_cores(zm, core_of, lambda anchor: -1)
             hit = np.flatnonzero(core_ids >= 0)
             zone_hit[core_ids[hit], hit] = True
         for extent, row in zip(extents, zone_hit):
@@ -613,20 +639,21 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
     for core in cores:
         for cell in core.member_cells:
             member_to_core.setdefault(cell, core.id)
-    members = np.array([cell for core in cores for cell in core.member_cells]).reshape(-1, 2)
-    member_ids = np.array([core.id for core in cores for _ in core.member_cells])
 
-    def core_of(anchor: CellIndex) -> int:
-        # The core holding the anchor, else the core with the Chebyshev-nearest
-        # member, ties to the smaller id.
-        if anchor in member_to_core:
-            return member_to_core[anchor]
+    @cache
+    def member_arrays() -> tuple[np.ndarray, np.ndarray]:
+        members = np.array([cell for core in cores for cell in core.member_cells]).reshape(-1, 2)
+        return members, np.array([core.id for core in cores for _ in core.member_cells])
+
+    def nearest(anchor: CellIndex) -> int:
+        # The core with the Chebyshev-nearest member, ties to the smaller id.
+        members, member_ids = member_arrays()
         dist = np.abs(members - anchor).max(axis=1)
         return member_ids[np.lexsort((member_ids, dist))[0]]
 
     codes = []
     for zm in yearly_zones:
-        translated = _cell_cores(zm, core_of)
+        translated = _cell_cores(zm, member_to_core, nearest)
         # Only ids 0..ncores-1 vote; unlabeled cells (-1) and other ids do not.
         voted = np.flatnonzero((translated >= 0) & (translated < ncores))
         codes.append(translated[voted] * ncells + voted)

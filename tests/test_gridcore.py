@@ -228,7 +228,7 @@ class TestZoneMap:
         assert zm.nzones == 2
         assert zm.labeled_count == 4
         assert zm.present_labels() == [0, 1]
-        assert zm.cells_of(1) == [(1, 0), (1, 1)]
+        assert np.argwhere(zm.labels == 1).tolist() == [[1, 0], [1, 1]]
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ParameterError):

@@ -134,7 +134,7 @@ class TestWatershed:
         foci = detect_focus_points(f, "maxima")
         zones = watershed_zones(f, foci, "maxima")
         for label in zones.present_labels():
-            cells = set(map(tuple, zones.cells_of(label)))
+            cells = set(map(tuple, np.argwhere(zones.labels == label).tolist()))
             seenq = [next(iter(cells))]
             reached = {seenq[0]}
             while seenq:
@@ -471,6 +471,29 @@ class TestRunMistic:
         field = stack.fields[0]
         watershed_zones(field, detect_focus_points(field, "maxima"), "maxima")
         assert len(calls) == stack.n_years + 2
+
+    def test_each_year_calls_the_public_stages(self, monkeypatch):
+        # A tracer that wraps the module's public functions sees one focus
+        # detection per year and one watershed per year with foci.
+        planted, _ = make_planted_stack(nrows=12, ncols=12, n_years=3, b_exact=2, seed=9)
+        flat = make_field(np.full((12, 12), 2.0), units=CELSIUS)
+        stack = _stack_of([planted.fields[0], flat, *planted.fields[1:]])
+
+        def counted(stage, seen):
+            def wrapper(*args, **kwargs):
+                seen.append(kwargs.get("year"))
+                return stage(*args, **kwargs)
+
+            return wrapper
+
+        calls = {"detect_focus_points": [], "watershed_zones": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(mistic, name, counted(getattr(mistic, name), seen))
+        res = run_mistic(stack, MisticParams(orientation="maxima", min_years=1))
+        assert calls["detect_focus_points"] == list(stack.years)
+        with_foci = [year for year in stack.years if res.yearly_foci[year]]
+        assert with_foci == [2000, 2002, 2003]
+        assert len(calls["watershed_zones"]) == len(with_foci)
 
     @pytest.mark.parametrize(
         "theta_high, theta_dom", [(5.0, None), (0.3, 0.5), (0.6, 0.0), (0.0, None)]

@@ -5,14 +5,18 @@ The oracles below are the earlier implementations of core grouping
 ``connected_components``), connected components (``scipy.sparse.csgraph``),
 watershed growth (label on first pop, stale entries skipped; and the
 one-entry-per-cell heap flood, ``heap_watershed``, that labels on first
-push), core extents (one ``ZoneMap.cells_of`` call per anchored zone),
-consensus voting (one pass per core id) and the translation of zones to
-cores (one ``chebyshev`` call per anchor and member for anchors outside
-every core).  The library must reproduce them
-exactly on every input.
+push), core extents (one ``cells_of`` call per anchored zone), consensus
+voting (one pass per core id) and the translation of zones to cores (one
+``chebyshev`` call per anchor and member for anchors outside every core).
+The per-focus bookkeeping has its loop versions too: the watershed's check
+of one focus at a time (``oracle_focus_seeds``), recurrence counts in a dict
+(``oracle_mine_frequent_foci``) and zone-to-core translation through one
+``core_of`` call per anchor (``oracle_cell_cores``).  The library must
+reproduce them exactly on every input.
 """
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +28,14 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from gridclust.errors import ParameterError
-from gridclust.gridcore import CELSIUS, NEIGHBOR_OFFSETS, CellIndex, ZoneMap, chebyshev
+from gridclust.gridcore import CELSIUS, NEIGHBOR_OFFSETS, CellIndex, ZoneMap
 from gridclust.ingest import AnnualMeanStack
 from gridclust.mistic import (
     Core,
     FocusPoint,
+    FocusFrequencyTable,
     MisticParams,
+    _cell_cores,
     _close_pairs,
     _components,
     _group_cells,
@@ -45,6 +51,86 @@ from gridclust.mistic import (
 )
 
 from conftest import make_field
+
+
+def chebyshev(a, b):
+    """Chebyshev (chessboard) distance between two cells."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+def cells_of(zm, label):
+    rows, cols = np.nonzero(zm.labels == label)
+    return [CellIndex(int(r), int(c)) for r, c in zip(rows, cols)]
+
+
+def oracle_mine_frequent_foci(yearly_foci, total_years, min_years):
+    counts = {}
+    for year_foci in yearly_foci:
+        for fp in year_foci:
+            cell = CellIndex(*fp.cell)
+            counts[cell] = counts.get(cell, 0) + 1
+    return FocusFrequencyTable(counts, total_years, min_years)
+
+
+def oracle_focus_seeds(field, foci):
+    """The anchor table and padded flat seed indices of the foci, checked one
+    focus at a time; raises for the first focus off the grid, on a masked
+    cell or on the cell of an earlier focus."""
+    keys, width, _ = _padded_keys(field, "maxima")
+    geom, valid = field.geometry, keys < np.inf
+    anchors, seed_cells, seen = {}, [], set()
+    for i, fp in enumerate(foci):
+        r, c = fp.cell
+        if not geom.contains(r, c):
+            raise ParameterError(f"focus {fp.cell} outside the grid")
+        p = int((r + 1) * width + c + 1)
+        if not valid[p]:
+            raise ParameterError(f"focus {fp.cell} lies on a masked cell")
+        if p in seen:
+            raise ParameterError(f"duplicate focus cell {fp.cell}")
+        seen.add(p)
+        anchors[i] = CellIndex(r, c)
+        seed_cells.append(p)
+    return anchors, seed_cells
+
+
+def oracle_cell_cores(zm, core_of):
+    """Each flat cell's core: ``core_of`` of its zone's anchor, one call per
+    anchor, -1 for an unlabeled cell or a label without an anchor."""
+    labels = sorted(label for label in zm.anchors if label >= 0)
+    ids = np.array([-1] + [core_of(zm.anchors[label]) for label in labels], dtype=np.intp)
+    keys = np.array([-1] + labels, dtype=np.int64)
+    flat = zm.labels.ravel()
+    slot = np.searchsorted(keys, flat, side="right") - 1
+    return np.where(keys[slot] == flat, ids[slot], -1)
+
+
+def oracle_member_cores(cores):
+    """Each member cell's core, the first listed for a cell of several."""
+    member_to_core = {}
+    for core in cores:
+        for cell in core.member_cells:
+            member_to_core.setdefault(cell, core.id)
+    return member_to_core
+
+
+def oracle_nearest_core(cores):
+    """The core with the Chebyshev-nearest member, ties to the smaller id."""
+    members = np.array([cell for core in cores for cell in core.member_cells]).reshape(-1, 2)
+    member_ids = np.array([core.id for core in cores for _ in core.member_cells])
+
+    def nearest(anchor):
+        dist = np.abs(members - anchor).max(axis=1)
+        return member_ids[np.lexsort((member_ids, dist))[0]]
+
+    return nearest
+
+
+def oracle_consensus_core_of(cores):
+    """The per-anchor lookup of the consensus: the core holding the anchor,
+    else the core with the Chebyshev-nearest member."""
+    member_to_core, nearest = oracle_member_cores(cores), oracle_nearest_core(cores)
+    return lambda anchor: member_to_core[anchor] if anchor in member_to_core else nearest(anchor)
 
 
 def oracle_group_cells(cells, max_dist):
@@ -160,7 +246,7 @@ def oracle_build_cores(table, mode, radius, yearly_zones):
     for zm in yearly_zones:
         for label, anchor in zm.anchors.items():
             if anchor in anchor_zone_cells:
-                anchor_zone_cells[anchor].append(zm.cells_of(label))
+                anchor_zone_cells[anchor].append(cells_of(zm, label))
     cores = []
     key = lambda g: (-max(table.counts[c] for c in g), g[0])  # noqa: E731
     for i, group in enumerate(sorted(groups, key=key)):
@@ -203,12 +289,12 @@ def oracle_translate_to_cores(zm, cores):
     return np.vectorize(lambda v: lut.get(v, -1), otypes=[np.int32])(zm.labels)
 
 
-def oracle_consensus_labels(yearly_zones, cores):
+def oracle_consensus_labels(yearly_zones, cores, translate=oracle_translate_to_cores):
     shape = yearly_zones[0].geometry.shape
     ncores = len(cores)
     votes = np.zeros((ncores,) + shape, dtype=np.int32)
     for zm in yearly_zones:
-        translated = oracle_translate_to_cores(zm, cores)
+        translated = translate(zm, cores).reshape(shape)
         for cid in range(ncores):
             votes[cid] += translated == cid
     winner = votes.argmax(axis=0).astype(np.int32)
@@ -557,3 +643,147 @@ def test_run_mistic_zones_label_exactly_the_mask_in_years_with_foci(stack, orien
     for year in years:
         if res.yearly_foci[year]:
             assert np.array_equal(res.yearly_zones[year].labels >= 0, mask)
+
+
+ODD_COORDS = [1.5, 1.0, True, False, "1", np.int64(1), 2**70, -(2**70)]
+
+
+def focus_cells(shape):
+    """Cells of Python ints in and around a grid of ``shape``, now and then
+    with a coordinate of another type, as tuples or as ``CellIndex``."""
+    coord = st.one_of(st.integers(-1, max(shape)), st.sampled_from(ODD_COORDS))
+    cell = st.tuples(st.integers(-1, shape[0]), st.integers(-1, shape[1])) | st.tuples(coord, coord)
+    return cell | cell.map(lambda c: CellIndex(*c))
+
+
+def coordinate_types(anchors):
+    return {label: tuple(map(type, cell)) for label, cell in anchors.items()}
+
+
+GRID_3X3 = np.arange(9.0).reshape(3, 3)
+MASK_3X3 = np.array([[True, True, True], [True, False, True], [True, True, True]])
+
+
+@given(case=tie_heavy_fields(), data=st.data())
+# A float, a bool, a digit string, a numpy int and a coordinate beyond int64;
+# then a duplicate focus, a focus on the masked centre, and cells of three and
+# one coordinates.
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(1.5, 0)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([CellIndex(0, 0), (True, 0)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([("1", 0)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(2, 2), CellIndex(np.int64(1), 0)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 1), (2**70, 0)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 1), (2, 0), CellIndex(0, 1)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 0), (1, 1)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 1, 2), (0,)]))
+def test_focus_cells_match_the_per_focus_checks(case, data):
+    values, mask = case
+    field = make_field(values, mask=mask)
+    cells = data.draw(st.lists(focus_cells(mask.shape), min_size=1, max_size=6))
+    foci = [FocusPoint(cell, 0, 0.0) for cell in cells]
+    try:
+        anchors, _ = oracle_focus_seeds(field, foci)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            watershed_zones(field, foci, "maxima")
+        assert str(got.value) == str(exc)
+    else:
+        got = watershed_zones(field, foci, "maxima")
+        assert got.anchors == anchors
+        assert {type(cell) for cell in got.anchors.values()} == {CellIndex}
+        assert coordinate_types(got.anchors) == coordinate_types(anchors)
+        assert np.array_equal(got.labels, heap_watershed(field, foci, "maxima").labels)
+
+
+@given(
+    stack=tie_heavy_stacks(),
+    orientation=orientations,
+    mode=st.sampled_from(["cc", "cr"]),
+    radius=radii,
+    data=st.data(),
+)
+def test_bookkeeping_matches_the_per_focus_loops(stack, orientation, mode, radius, data):
+    values, mask = stack
+    if not mask.any():
+        return
+    yearly_foci, yearly_zones = [], []
+    for year, year_values in enumerate(values):
+        field = make_field(year_values, mask=mask)
+        foci = detect_focus_points(field, orientation, year=year)
+        yearly_foci.append(foci)
+        if foci:
+            yearly_zones.append(watershed_zones(field, foci, orientation))
+    table = mine_frequent_foci(yearly_foci, len(values), 1)
+    expected = oracle_mine_frequent_foci(yearly_foci, len(values), 1)
+    assert list(table.counts.items()) == list(expected.counts.items())
+    cores = build_cores(table, mode, radius, yearly_zones)
+    assert cores == oracle_build_cores(table, mode, radius, yearly_zones)
+    for used in ([cores] if cores else []) + [data.draw(foreign_cores(mask.shape))]:
+        member_to_core = oracle_member_cores(used)
+        lookups = [(member_to_core, oracle_nearest_core(used), oracle_consensus_core_of(used))]
+        if used is cores:
+            lookups.append((member_to_core, lambda a: -1, lambda a: member_to_core.get(a, -1)))
+        for zm in yearly_zones:
+            for core_of, nearest, oracle_core_of in lookups:
+                got = _cell_cores(zm, core_of, nearest)
+                assert np.array_equal(got, oracle_cell_cores(zm, oracle_core_of))
+        if yearly_zones:
+            got = consensus_zone_map(yearly_zones, used).labels
+            assert np.array_equal(got, oracle_consensus_labels(yearly_zones, used))
+
+
+def numeric_cells(shape):
+    """Cells on and off a grid of ``shape`` whose coordinates are Python ints
+    or other numbers equal to one (1.0, True, ``np.int64(1)``), or 1.5, or
+    beyond int64."""
+    odd = st.sampled_from([1.5, 1.0, True, np.int64(1), 2**70])
+    coord = st.one_of(st.integers(-1, max(shape)), odd)
+    cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    return st.one_of(cells, cells, st.tuples(coord, coord)).map(lambda c: CellIndex(*c))
+
+
+def outcome(fn):
+    """``fn()`` as ("value", result) or ("raises", type, message)."""
+    try:
+        return "value", fn().tolist()
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def per_anchor_translation(zm, cores):
+    return oracle_cell_cores(zm, oracle_consensus_core_of(cores))
+
+
+@settings(max_examples=60)
+@given(stack=tie_heavy_stacks(max_years=3), orientation=orientations, data=st.data())
+def test_zone_to_core_lookup_with_odd_cells_matches_per_anchor_calls(stack, orientation, data):
+    # Anchors and members equal to a cell of Python ints (1.0, True,
+    # np.int64(1)) match it, others (1.5, off the grid) take the nearest
+    # member, and the nearest-member search raises beyond int64, in both.
+    values, mask = stack
+    if not mask.any():
+        return
+    shape = mask.shape
+    yearly_zones = []
+    for year_values in values:
+        field = make_field(year_values, mask=mask)
+        foci = detect_focus_points(field, orientation)
+        if foci:
+            zm = watershed_zones(field, foci, orientation)
+            anchors = {k: data.draw(st.just(v) | numeric_cells(shape)) for k, v in zm.anchors.items()}
+            yearly_zones.append(ZoneMap(zm.geometry, zm.labels, anchors))
+    if not yearly_zones:
+        return
+    cores = [
+        replace(core, member_cells=tuple(data.draw(st.just(c) | numeric_cells(shape))
+                                         for c in core.member_cells))
+        for core in data.draw(foreign_cores(shape))
+    ]
+    member_to_core = oracle_member_cores(cores)
+    for zm in yearly_zones:
+        assert outcome(
+            lambda: _cell_cores(zm, member_to_core, oracle_nearest_core(cores))
+        ) == outcome(lambda: oracle_cell_cores(zm, oracle_consensus_core_of(cores)))
+    assert outcome(lambda: consensus_zone_map(yearly_zones, cores).labels) == outcome(
+        lambda: oracle_consensus_labels(yearly_zones, cores, per_anchor_translation)
+    )
