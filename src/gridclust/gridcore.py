@@ -120,13 +120,6 @@ class GridGeometry:
     def contains(self, row: int, col: int) -> bool:
         return 0 <= row < self.nrows and 0 <= col < self.ncols
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        """(lat, lon) or (y, x) center of a cell."""
-        return (
-            self.origin_lat + row * self.cell_dlat,
-            self.origin_lon + col * self.cell_dlon,
-        )
-
     def lat_centers(self) -> np.ndarray:
         return self.origin_lat + self.cell_dlat * np.arange(self.nrows)
 
@@ -180,10 +173,6 @@ class ScalarField:
             raise UnitError(f"unknown units {self.units!r}")
         if not np.all(np.isfinite(self.values[self.mask])):
             raise ParameterError("unmasked values must be finite")
-
-    @property
-    def n_valid(self) -> int:
-        return int(self.mask.sum())
 
 
 @dataclass(frozen=True)
@@ -307,17 +296,9 @@ class ZoneMap:
         }
         object.__setattr__(self, "anchors", anchors)
 
-    @property
-    def nzones(self) -> int:
-        return len(self.anchors)
-
-    @property
-    def labeled_count(self) -> int:
-        return int((self.labels >= 0).sum())
-
     def present_labels(self) -> list[int]:
-        vals = np.unique(self.labels)
-        return [int(v) for v in vals if v >= 0]
+        # With return_counts, np.unique does not import numpy.ma (numpy 2.4).
+        return np.unique(self.labels[self.labels >= 0], return_counts=True)[0].tolist()
 
 
 def neighbors8(

@@ -22,9 +22,8 @@ The pipeline runs in five stages over a stack of annual fields:
    into groups by a numpy connected-components helper;
 5. consensus: per-cell modal core assignment across all years.  Core
    extents and consensus share one zone-to-core translation: each zone's
-   anchor focus is looked up in a member-to-core dict, one C-level map per
-   year, and only an anchor outside every core takes the consensus's
-   nearest-member search.
+   anchor focus is looked up in a member-to-core dict, and only an anchor
+   outside every core takes the consensus's nearest-member search.
 
 The number of cores is an output of the process, never an input.
 """
@@ -34,7 +33,6 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, repeat
@@ -67,8 +65,7 @@ DEFAULT_THETA_HIGH = 0.60
 DEFAULT_THETA_DOM = 12.0 / 31.0
 
 
-@dataclass(frozen=True)
-class FocusPoint:
+class FocusPoint(NamedTuple):
     """The representative cell of one equal-valued local extremum in one year."""
 
     cell: CellIndex
@@ -122,14 +119,6 @@ class Core:
     radius: int | None
     dominance: str | None
     extent: frozenset[CellIndex]
-
-    @property
-    def member_frequencies(self) -> tuple[float, ...]:
-        return tuple(n / self.total_years for n in self.member_counts)
-
-    @property
-    def max_frequency(self) -> float:
-        return max(self.member_frequencies)
 
     @property
     def representative(self) -> CellIndex:
@@ -347,16 +336,6 @@ def _sorted_pop_order(grid: _KeyGrid, seeds: np.ndarray) -> np.ndarray | None:
     return cells[np.lexsort((replay_at[cells], merge_at[cells], keys[cells]))]
 
 
-def _int_cells(cells: Sequence) -> np.ndarray | None:
-    """``cells`` as an (n, 2) int64 array, or None unless each is a pair of
-    Python ints (``np.fromiter`` casts a float, a bool or a digit string, and
-    fails beyond int64)."""
-    with suppress(TypeError, OverflowError):
-        if not {*map(len, cells)} - {2} and {*map(type, chain.from_iterable(cells))} <= {int}:
-            return np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
-    return None
-
-
 def watershed_zones(
     field: ScalarField, foci: Sequence[FocusPoint], orientation: str
 ) -> ZoneMap:
@@ -375,6 +354,11 @@ def watershed_zones(
     :func:`_sorted_pop_order`); for any other seed set the full heap runs
     over every reachable cell.  Unmasked cells unreachable from every focus
     stay unlabeled.
+
+    The foci are checked one at a time, in order, and the first one off the
+    grid, on a masked cell or on the cell of an earlier focus raises a
+    ``ParameterError`` that names it.  Each zone's anchor is its focus's cell,
+    passed on as given.
     """
     grid = _key_grid(field, orientation)
     if not foci:
@@ -383,28 +367,22 @@ def watershed_zones(
     geom = field.geometry
 
     valid = keys < np.inf
-    cells = [fp.cell for fp in foci]
-    rc = _int_cells(cells)
-    inside = rc is not None and ((rc >= 0) & (rc < geom.shape)).all()
-    seeds = (rc[:, 0] + 1) * width + rc[:, 1] + 1 if inside else None
-    if not inside or not valid[seeds].all() or np.bincount(seeds).max() > 1:
-        # One focus at a time: name the first fault, or place the foci whose
-        # cells are not pairs of Python ints.
-        seed_cells: list[int] = []
-        seen: set[int] = set()
-        for fp in foci:
-            r, c = fp.cell
-            if not geom.contains(r, c):
-                raise ParameterError(f"focus {fp.cell} outside the grid")
-            p = int((r + 1) * width + c + 1)
-            if not valid[p]:
-                raise ParameterError(f"focus {fp.cell} lies on a masked cell")
-            if p in seen:
-                raise ParameterError(f"duplicate focus cell {fp.cell}")
-            seen.add(p)
-            seed_cells.append(p)
-        seeds = np.array(seed_cells)
-    anchors = dict(enumerate(cells))
+    anchors: dict[int, CellIndex] = {}
+    seed_cells: list[int] = []
+    seen: set[int] = set()
+    for i, fp in enumerate(foci):
+        r, c = fp.cell
+        if not geom.contains(r, c):
+            raise ParameterError(f"focus {fp.cell} outside the grid")
+        p = int((r + 1) * width + c + 1)
+        if not valid[p]:
+            raise ParameterError(f"focus {fp.cell} lies on a masked cell")
+        if p in seen:
+            raise ParameterError(f"duplicate focus cell {fp.cell}")
+        seen.add(p)
+        anchors[i] = fp.cell
+        seed_cells.append(p)
+    seeds = np.array(seed_cells)
 
     order = _sorted_pop_order(grid, seeds)
     if order is None:
@@ -511,17 +489,14 @@ def _cell_cores(
     anchor, else ``nearest(anchor)``; -1 for an unlabeled cell or a label
     without an anchor.
 
-    Anchors are looked up in one C-level ``map`` per zone map; ``nearest``
-    runs only for anchors that ``core_of`` lacks.  The table holds one entry
-    per anchor with a non-negative key, sorted by label behind an entry for
-    label -1, and each cell finds its label's entry by binary search: memory
-    follows the zones, not the largest label.
+    ``nearest`` runs only for anchors that ``core_of`` lacks.  The table
+    holds one entry per anchor with a non-negative key, sorted by label
+    behind an entry for label -1, and each cell finds its label's entry by
+    binary search: memory follows the zones, not the largest label.
     """
     labels = sorted(label for label in zm.anchors if label >= 0)
-    anchors = list(map(zm.anchors.__getitem__, labels))
-    ids = list(map(core_of.get, anchors))
-    if None in ids:
-        ids = [nearest(a) if i is None else i for a, i in zip(anchors, ids)]
+    anchors = map(zm.anchors.__getitem__, labels)
+    ids = [core_of[a] if a in core_of else nearest(a) for a in anchors]
     ids = np.array([-1] + ids, dtype=np.intp)
     keys = np.array([-1] + labels, dtype=np.int64)
     flat = zm.labels.ravel()

@@ -591,6 +591,23 @@ class TestStartUpWithoutScipy:
             )
 
 
+def test_compare_loads_no_numpy_ma(demo_dataset, km_out, mi_out, tmp_path):
+    # A plain np.unique imports numpy.ma on its first call (numpy 2.4), about
+    # 15 ms of every compare process; the CLI keeps clear of it.
+    root, _ = demo_dataset
+    labels = [str(km_out / "labels_k2.csv"), str(mi_out / "consensus.csv")]
+    for source, extra in {"dataset": ["--dataset", str(root)], "neither": []}.items():
+        argv = ["compare", *labels, *extra, "--out", str(tmp_path / source)]
+        proc = fresh_python(
+            "import json, sys; from gridclust.cli import main; "
+            "code = main(json.loads(sys.argv[1])); print('numpy.ma' in sys.modules); "
+            "sys.exit(code)",
+            json.dumps(argv),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", source
+
+
 def test_import_loads_no_process_pool():
     # Worker processes are plain forks (gridclust._forked), so nothing imports these.
     proc = fresh_python(

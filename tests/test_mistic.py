@@ -434,7 +434,7 @@ class TestRunMistic:
         res = run_mistic(stack, MisticParams(orientation="maxima", min_years=1))
         assert len(res.cores) == 1
         assert res.cores[0].dominance == "CHD"
-        assert res.cores[0].max_frequency == 1.0
+        assert max(res.cores[0].member_counts) / res.cores[0].total_years == 1.0
         assert (res.consensus.labels == 0).all()
 
     def test_constant_stack_reports_no_foci(self):
