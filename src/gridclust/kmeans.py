@@ -9,7 +9,10 @@ iteration cap as a guard.
 The assignment step prunes with exact Hamerly bounds: a cell whose distance
 to its own centroid is, by a strict and rounding-safe margin, below a lower
 bound on its distance to every other centroid keeps its label without a
-distance row.  Every other cell gets a full row.  Results therefore equal
+distance row.  Every other cell gets a full row.  The first pass takes its
+rows from the k-means++ seeding, which computed each cell's distance to
+every center with the same kernel.  Centroids are per-cluster sums divided
+by counts, the two steps ``ndarray.mean`` runs.  Results therefore equal
 those of the unpruned loop bit for bit.
 
 All reductions run through numpy's fixed-order single-threaded paths, so
@@ -21,6 +24,7 @@ seed, so the results are those of the serial loop.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -174,7 +178,7 @@ def _own_sq_distances(
     the same bits as the matching entry of the full distance matrix.
     ``work``, a scratch array shaped like ``X``, receives the differences.
     """
-    np.subtract(X, centroids[labels], out=work)
+    np.subtract(X, centroids.take(labels, axis=0), out=work)
     return np.einsum("ij,ij->i", work, work)
 
 
@@ -182,30 +186,44 @@ def _centroids(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Mean of each cluster's rows (NaN for an empty cluster).
 
     A stable sort by label makes each cluster one contiguous slice holding
-    the rows of ``X[labels == j]`` in the same order, so the means have the
-    same bits as masking cluster by cluster.
+    the rows of ``X[labels == j]`` in the same order.  Each slice is summed
+    along axis 0 and divided by its count, the two steps of
+    ``ndarray.mean``, so the means have the same bits as masking cluster by
+    cluster.  The sort key is the smallest unsigned type that holds k - 1,
+    which numpy's stable sort orders by radix; a stable sort's permutation
+    does not depend on the key's type.
     """
-    ordered = X[np.argsort(labels, kind="stable")]
-    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-    out = np.empty((k, X.shape[1]), dtype=np.float64)
+    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    ordered = X.take(order, axis=0)
+    counts = np.bincount(labels, minlength=k)
+    sums = np.empty((k, X.shape[1]), dtype=np.float64)
     start = 0
-    for j, end in enumerate(ends):
-        out[j] = ordered[start:end].mean(axis=0)
+    for j, end in enumerate(np.cumsum(counts).tolist()):
+        np.add.reduce(ordered[start:end], axis=0, out=sums[j])
         start = end
-    return out
+    return sums / counts[:, None]
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    X: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding: each center drawn with probability proportional to
-    the squared distance to the nearest already-chosen center."""
+    the squared distance to the nearest already-chosen center.
+
+    Returns the (k, p) centers and the (n, k) squared distances of every row
+    to every center.  Column j is computed with the kernel of
+    :func:`_sq_distances` against a row equal to center j, so the matrix
+    has the bits of ``_sq_distances(X, centers, ...)``.
+    """
     n = X.shape[0]
+    dists = np.empty((n, k), dtype=np.float64)
     chosen = np.zeros(n, dtype=bool)
     first = int(rng.integers(n))
     centers = [first]
     chosen[first] = True
     diff = X - X[first]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    for _ in range(1, k):
+    dists[:, 0] = d2 = np.einsum("ij,ij->i", diff, diff)
+    for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
             # All remaining points coincide with a center; take the first
@@ -217,9 +235,18 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             idx = min(idx, n - 1)
         centers.append(idx)
         chosen[idx] = True
-        diff = X - X[idx]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
-    return X[np.array(centers)].copy()
+        np.subtract(X, X[idx], out=diff)
+        dists[:, j] = column = np.einsum("ij,ij->i", diff, diff)
+        d2 = np.minimum(d2, column)
+    return X.take(centers, axis=0), dists
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, or :class:`ParameterError` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _labels_grid(features: FeatureMatrix, point_labels: np.ndarray) -> np.ndarray:
@@ -243,10 +270,13 @@ def run_kmeans(
     raises :class:`InternalError`.
 
     Assignment keeps, per cell, ``lower``: a lower bound on the distance to
-    every centroid other than its own (Hamerly 2010).  Each pass computes the
-    squared distance ``own`` to the cell's current centroid exactly, and the
-    cell keeps its label when ``sqrt(own) + slack < lower``.  Every other
-    cell gets its full distance row, takes the row's argmin and resets
+    every centroid other than its own (Hamerly 2010).  The first pass gives
+    every cell its full distance row, taken from the k-means++ seeding,
+    which computed each cell's distance to each center with the kernel of
+    the later passes.  Each later pass computes the squared distance ``own``
+    to the cell's current centroid exactly, and the cell keeps its label
+    when ``sqrt(own) + slack < lower``.  Every other cell gets its full
+    distance row.  A cell with a full row takes the row's argmin and resets
     ``lower`` to the square root of the row's second-smallest entry.  After
     the centroid update every ``lower`` drops by the largest centroid shift
     plus ``slack`` (triangle inequality); cells moved by the empty-cluster
@@ -262,11 +292,18 @@ def run_kmeans(
     strictly: the full row's argmin would be the same label, with no tie to
     a lower id.  ``own``, and with it the inertia, is the same computed
     value as the full row's entry.  A NaN bound fails the test.
+
+    Centroids are each cluster's row sum divided by its row count, the two
+    steps of ``ndarray.mean`` in the same order.  ``k``, ``seed`` and
+    ``max_iter`` must be integers (numpy integers included).
     """
     X = features.matrix
     n = X.shape[0]
     if n == 0:
         raise EmptyDomainError("feature matrix has no cells")
+    k = _integer("k", k)
+    seed = _integer("seed", seed)
+    max_iter = _integer("max_iter", max_iter)
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     if max_iter < 1:
@@ -275,23 +312,27 @@ def run_kmeans(
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(X, k, rng)
+    centroids, dists = _kmeanspp_init(X, k, rng)
     radius = float(np.sqrt(np.einsum("ij,ij->i", X, X).max()))
     slack = 1e-9 * (X.shape[1] + 1) * (1.0 + radius)
 
     prev_labels: np.ndarray | None = None
     history: list[float] = []
     converged_by = "max_iter"
-    labels = np.zeros(n, dtype=np.int64)
-    lower = np.full(n, -np.inf)  # the first pass computes every row
+    labels = np.empty(n, dtype=np.int64)
+    own = np.empty(n)
+    lower = np.empty(n)
+    redo = np.arange(n)  # the first pass's rows are the seeding's distances
     work = np.empty_like(X)
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        own = _own_sq_distances(X, centroids, labels, work)
-        redo = np.flatnonzero(~(np.sqrt(own) + slack < lower))
+        if iterations > 1:
+            own = _own_sq_distances(X, centroids, labels, work)
+            redo = np.flatnonzero(~(np.sqrt(own) + slack < lower))
+            if redo.size:
+                dists = _sq_distances(X.take(redo, axis=0), centroids, work)
         if redo.size:
-            dists = _sq_distances(X[redo], centroids, work)
             near = np.argmin(dists, axis=1)
             rows = np.arange(redo.size)
             labels[redo] = near
@@ -354,14 +395,20 @@ def sweep_k(
     Restart r uses derived seed ``seed + r``, so a larger restart budget can
     only improve (or match) the kept inertia for the same base seed.  The
     first run with the strictly lowest inertia is kept.  A k listed twice is
-    rejected.  Large sweeps run their restarts on one forked worker process
-    per usable CPU, with the same results as the serial loop.
+    rejected, and so is a k, ``seed`` or ``restarts`` that is not an integer.
+    Large sweeps run their restarts on one forked worker process per usable
+    CPU, with the same results as the serial loop.
     """
+    try:
+        ks = sorted(_integer("ks entry", k) for k in ks)
+    except TypeError:
+        raise ParameterError(f"ks must be a list of integers, got {ks!r}") from None
+    seed = _integer("seed", seed)
+    restarts = _integer("restarts", restarts)
     if not ks:
         raise ParameterError("ks must be non-empty")
     if restarts < 1:
         raise ParameterError("restarts must be >= 1")
-    ks = sorted(int(k) for k in ks)
     repeated = sorted({a for a, b in zip(ks, ks[1:]) if a == b})
     if repeated:
         raise ParameterError(f"ks lists k = {', '.join(map(str, repeated))} more than once")

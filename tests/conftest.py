@@ -14,8 +14,11 @@ from gridclust.synth import write_planted_dataset
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite is reproducible.  Hypothesis still writes
-# .hypothesis/constants/ where it runs; .gitignore covers it.
+# .hypothesis/constants/ where it runs; .gitignore covers it.  The deep
+# profile (pytest --hypothesis-profile=gridclust-deep) draws five times as
+# many examples, as reproducibly.
 settings.register_profile("gridclust", derandomize=True, database=None, deadline=None)
+settings.register_profile("gridclust-deep", settings.get_profile("gridclust"), max_examples=500)
 settings.load_profile("gridclust")
 
 

@@ -144,6 +144,43 @@ class TestRunKmeans:
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             sweep_k(feats, [2], seed=-3, restarts=5)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"k": 2.5}, "k"),
+            ({"k": 2.0}, "k"),
+            ({"k": "2"}, "k"),
+            ({"k": 2, "seed": 1.5}, "seed"),
+            ({"k": 2, "seed": None}, "seed"),
+            ({"k": 2, "max_iter": 2.5}, "max_iter"),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, kwargs, name):
+        feats = FeatureMatrix.from_matrix(np.arange(4.0))
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            run_kmeans(feats, **kwargs)
+
+    def test_numpy_integer_parameters_accepted(self):
+        feats = FeatureMatrix.from_matrix(np.arange(6.0))
+        run = run_kmeans(feats, np.int64(2), seed=np.uint8(3), max_iter=np.int32(50))
+        plain = run_kmeans(feats, 2, seed=3, max_iter=50)
+        assert run.labels.tobytes() == plain.labels.tobytes()
+        assert (run.k, run.seed, run.inertia) == (plain.k, plain.seed, plain.inertia)
+        assert type(run.seed) is int
+
+    def test_one_pass_computes_no_distance_rows(self, monkeypatch):
+        # The first pass takes every row from the k-means++ seeding.
+        calls, sq_distances = [], kmeans._sq_distances
+        monkeypatch.setattr(
+            kmeans, "_sq_distances", lambda *args: calls.append(1) or sq_distances(*args)
+        )
+        feats = FeatureMatrix.from_matrix(np.random.default_rng(6).normal(size=(40, 3)))
+        run = run_kmeans(feats, 5, seed=2, max_iter=1)
+        assert run.iterations == 1
+        assert calls == []
+        run_kmeans(feats, 5, seed=2, max_iter=3)
+        assert calls
+
     def test_duplicate_points_never_leave_empty_clusters(self):
         feats = FeatureMatrix.from_matrix([0.0, 0.0, 0.0, 1.0])
         run = run_kmeans(feats, 3, seed=0)
@@ -260,6 +297,30 @@ class TestSweep:
         feats = FeatureMatrix.from_matrix(np.arange(4.0))
         with pytest.raises(ParameterError):
             sweep_k(feats, [])
+        with pytest.raises(ParameterError):
+            sweep_k(feats, None)
+
+    @pytest.mark.parametrize(
+        "ks, kwargs, name",
+        [
+            ([2.7], {}, "ks entry"),
+            ([2, 3.0], {}, "ks entry"),
+            ([2], {"restarts": 1.5}, "restarts"),
+            ([2], {"seed": 0.5}, "seed"),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, ks, kwargs, name):
+        feats = FeatureMatrix.from_matrix(np.arange(6.0))
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            sweep_k(feats, ks, **kwargs)
+
+    def test_numpy_ks_accepted(self):
+        feats = FeatureMatrix.from_matrix(np.arange(6.0))
+        maps = sweep_k(feats, np.array([3, 2]), seed=np.int64(1), restarts=np.int16(2))
+        plain = sweep_k(feats, [3, 2], seed=1, restarts=2)
+        assert [(m.k, m.seed, m.inertia) for m in maps] == [
+            (m.k, m.seed, m.inertia) for m in plain
+        ]
 
     def test_repeated_k_rejected(self):
         feats = FeatureMatrix.from_matrix(np.arange(6.0))

@@ -1,10 +1,13 @@
 """Differential tests: the bound-pruned Lloyd loop against the unpruned one.
 
-The oracle below is the earlier ``run_kmeans``: every pass computes the full
-cell-to-centroid distance matrix, and every centroid is the mean of
-``X[labels == j]``.  The library must reproduce it exactly: the same labels,
-the same centroid and inertia bits, the same inertia history, iteration
-count and stopping reason, and the same error when a run fails.
+The oracle below is the earlier ``run_kmeans``: it seeds with the
+centers-only k-means++, every pass computes the full cell-to-centroid
+distance matrix, and every centroid is the mean of ``X[labels == j]``.  The
+library must reproduce it exactly: the same labels, the same centroid and
+inertia bits, the same inertia history, iteration count and stopping
+reason, and the same error when a run fails.  The library's seeding
+distances and sum-then-divide centroids are also checked piece by piece
+against the earlier code.
 """
 
 import warnings
@@ -19,6 +22,7 @@ from gridclust.errors import GridClustError, InternalError
 from gridclust.kmeans import (
     ClusterMap,
     FeatureMatrix,
+    _centroids,
     _kmeanspp_init,
     build_features,
     run_kmeans,
@@ -35,6 +39,40 @@ def oracle_sq_distances(X, centroids):
     return out
 
 
+def oracle_kmeanspp_init(X, k, rng):
+    n = X.shape[0]
+    chosen = np.zeros(n, dtype=bool)
+    first = int(rng.integers(n))
+    centers = [first]
+    chosen[first] = True
+    diff = X - X[first]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(np.flatnonzero(~chosen)[0])
+        else:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            idx = min(idx, n - 1)
+        centers.append(idx)
+        chosen[idx] = True
+        diff = X - X[idx]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+    return X[np.array(centers)].copy()
+
+
+def oracle_centroids(X, labels, k):
+    ordered = X[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    out = np.empty((k, X.shape[1]), dtype=np.float64)
+    start = 0
+    for j, end in enumerate(ends):
+        out[j] = ordered[start:end].mean(axis=0)
+        start = end
+    return out
+
+
 def oracle_labels_grid(features, point_labels):
     grid = np.full(features.geometry.shape, -1, dtype=np.int32)
     for cell, lab in zip(features.cells, point_labels):
@@ -46,7 +84,7 @@ def oracle_run_kmeans(features, k, seed=0, max_iter=300):
     X = features.matrix
     n = X.shape[0]
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(X, k, rng)
+    centroids = oracle_kmeanspp_init(X, k, rng)
 
     prev_labels = None
     history = []
@@ -211,3 +249,69 @@ def test_exact_tie_at_the_bound_is_not_pruned():
 )
 def test_empty_cluster_repair_matches_the_unpruned_loop(values, k, seed):
     assert_matches_oracle(FeatureMatrix.from_matrix(np.array(values, float)), k, seed=seed)
+
+
+def assert_seeding_matches_oracle(X, k, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    centers, dists = _kmeanspp_init(X, k, rng)
+    expected = oracle_kmeanspp_init(X, k, oracle_rng)
+    assert centers.tobytes() == expected.tobytes()
+    assert dists.shape == (X.shape[0], k)
+    assert dists.tobytes() == oracle_sq_distances(X, expected).tobytes()
+    assert rng.random() == oracle_rng.random()
+
+
+@given(X=st.one_of(integer_matrices(), clustered_matrices()), data=st.data())
+def test_seeding_distances_are_the_full_distance_matrix(X, data):
+    k = data.draw(st.integers(1, X.shape[0]), label="k")
+    assert_seeding_matches_oracle(X, k, data.draw(st.integers(0, 2**16), label="seed"))
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (5, 1), (7, 3)])
+def test_seeding_of_coincident_points_takes_every_cell_in_turn(n, p):
+    # Every draw after the first sees a zero total and takes the first
+    # unchosen index; with k = n each cell becomes a center.
+    X = np.full((n, p), 2.5)
+    assert_seeding_matches_oracle(X, n, seed=4)
+    _, dists = _kmeanspp_init(X, n, np.random.default_rng(4))
+    assert not dists.any()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeding_with_k_equal_to_n(seed):
+    X = np.random.default_rng(seed).normal(size=(12, 4))
+    assert_seeding_matches_oracle(X, 12, seed)
+
+
+@st.composite
+def labelled_matrices(draw):
+    """Rows with many duplicates, labels with single-row and empty clusters,
+    and k on both sides of 256, where the sort key widens to 16 bits."""
+    k = draw(st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257])))
+    n = draw(st.integers(1, 320))
+    p = draw(st.integers(1, 4))
+    ints = draw(hnp.arrays(np.int64, (n, p), elements=st.integers(-3, 3)))
+    X = ints * draw(SCALES)
+    if draw(st.booleans()):
+        X = X + np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(n, p))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return X, labels, k
+
+
+@given(labelled_matrices())
+def test_centroids_match_the_mean_of_each_slice(drawn):
+    X, labels, k = drawn
+    with warnings.catch_warnings():
+        # An empty cluster's mean is NaN, with a RuntimeWarning on both sides.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = oracle_centroids(X, labels, k)
+        got = _centroids(X, labels, k)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_centroids_of_single_row_clusters_across_the_sort_key_switch(k):
+    rng = np.random.default_rng(k)
+    X = rng.normal(size=(3 * k, 2))
+    labels = np.concatenate([rng.permutation(k), rng.integers(k, size=2 * k)])
+    assert _centroids(X, labels, k).tobytes() == oracle_centroids(X, labels, k).tobytes()
