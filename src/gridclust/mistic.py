@@ -10,9 +10,9 @@ The pipeline runs in five stages over a stack of annual fields:
    over flat indices of a grid padded by one closed cell.  Each cell joins
    the zone of its earliest-popped neighbor, so zones are the trees of a
    forest labelled by pointer jumping.  With every regional extremum
-   seeded, the pop order is a sort by (key, flat index) in which only
-   plateau cells replay a heap, over equal keys alone; other seed sets
-   fall back to the full heap;
+   seeded, the pop order is a sort by (key, flat index) in which a heap
+   replays only plateau cells that no seed or more extreme neighbor
+   enters; other seed sets fall back to the full heap;
 3. recurrence mining: one ``Counter`` over every year's focus cells, with a
    frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
@@ -183,7 +183,8 @@ def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
         low = np.minimum(root_h, root_t)
         changed = low < np.maximum(root_h, root_t)
         if not changed.any():
-            return np.unique(lab, return_inverse=True)[1]
+            # Each root is its component's smallest node: number the roots.
+            return (np.cumsum(lab == np.arange(n)) - 1)[lab]
         np.minimum.at(lab, root_h[changed], low[changed])
         np.minimum.at(lab, root_t[changed], low[changed])
         lab = _roots(lab)
@@ -265,9 +266,9 @@ def detect_focus_points(
 
 
 def _flood_order(
-    keys: list[float], seen: list[bool], starts: list[int], offsets: tuple[int, ...],
+    keys: Sequence[float], seen: Sequence[bool], starts: list[int], offsets: tuple[int, ...],
     same_key: bool,
-) -> list[int]:
+) -> np.ndarray:
     """Flat indices in the order a priority flood pops them.
 
     The queue starts with ``starts`` and pops ``(key, flat index)`` entries
@@ -288,52 +289,54 @@ def _flood_order(
             if not seen[q] and (keys[q] == key or not same_key):
                 seen[q] = True
                 heapq.heappush(heap, (keys[q], q))
-    return order
+    return np.array(order, dtype=np.intp)
 
 
 def _sorted_pop_order(grid: _KeyGrid, seeds: np.ndarray) -> np.ndarray | None:
     """The pop order of the flood from ``seeds`` over every valid cell of the
     padded key grid, or None when the seeds miss a regional extremum.
 
-    A plateau cell is a valid cell with an equal-key neighbor.  The seeds
-    cover every extremum when each non-plateau cell is a seed or has a more
-    extreme neighbor, and a flood over equal keys alone, from the plateau
-    cells that are seeds or have one, reaches every plateau cell.  Keys then
-    pop in order, and each non-plateau cell is queued before its key level
-    starts.  So only that equal-key flood needs a heap; each level's other
-    cells merge into its order by flat index, a plateau cell sorting at the
-    largest flat index popped so far on its level.
+    A cell is entered when it is a seed or has a more extreme neighbor, and
+    late when it is neither but has an equal-key neighbor.  Entered cells are
+    queued before their level starts, so they pop in (key, flat index) order:
+    one stable sort.  The heap replays only the late cells, over equal keys
+    alone, from the entered cells next to them, the only ones that queue a
+    late cell.  A replayed cell sorts on its level as if its flat index were
+    the largest popped so far in the replay, ties in replay order.  The
+    seeds miss an extremum when a valid cell is neither entered nor late,
+    or when the replay misses a late cell.
     """
-    keys, offsets = grid.keys, grid.offsets
-    valid = keys < np.inf
-    entered = grid.beaten.copy()
-    entered[seeds] = True
-    plateau = np.zeros(keys.size, dtype=bool)
-    plateau[grid.heads] = True
-    plateau[grid.tails] = True
-    plateau &= valid
-    if (valid & ~plateau & ~entered).any():
+    keys, heads, tails, n = grid.keys, grid.heads, grid.tails, grid.keys.size
+    cells = np.flatnonzero(keys < np.inf)
+    order = cells[np.argsort(keys[cells], kind="stable")]
+    # Valid cells that nothing enters; each must be late, on a plateau.
+    late = keys < np.inf
+    late[grid.beaten] = False
+    late[seeds] = False
+    if not late.any():
+        return order
+    edge = late[heads] | late[tails]
+    touched = np.zeros(n, dtype=bool)
+    touched[heads[edge]] = touched[tails[edge]] = True
+    if not touched[late].all():
         return None
+    starts = np.flatnonzero(touched & ~late)
     # Equal keys only: a flood across levels would reach an unseeded
     # extremal plateau from above and hide that the seeds miss it.
-    starts = np.flatnonzero(plateau & entered).tolist()
-    replay = np.array(
-        _flood_order(keys.tolist(), (~plateau).tolist(), starts, offsets, True), dtype=np.intp
-    )
-    if replay.size < plateau.sum():
+    replay = _flood_order(keys, ~late, starts.tolist(), grid.offsets, True)
+    if replay.size < starts.size + late.sum():
         return None
 
-    # Sort by (key, merge position, replay position); a non-plateau cell's
-    # merge position is its own flat index.
-    merge_at = np.arange(keys.size)
-    replay_at = np.zeros(keys.size, dtype=np.intp)
-    if replay.size:
-        level = np.concatenate(([0], np.cumsum(keys[replay[1:]] != keys[replay[:-1]])))
-        shift = level * keys.size
-        merge_at[replay] = np.maximum.accumulate(replay + shift) - shift
-        replay_at[replay] = np.arange(replay.size)
-    cells = np.flatnonzero(valid)
-    return cells[np.lexsort((replay_at[cells], merge_at[cells], keys[cells]))]
+    # A cell popped below a larger flat index of its level moves just behind the largest.
+    shift = n * np.cumsum(np.r_[False, keys[replay[1:]] != keys[replay[:-1]]])
+    merge_at = np.maximum.accumulate(replay + shift) - shift
+    moved = merge_at != replay
+    stays = np.ones(n, dtype=bool)
+    stays[replay[moved]] = False
+    kept = order[stays[order]]
+    rank = np.empty(n, dtype=np.intp)
+    rank[kept] = np.arange(kept.size)
+    return np.insert(kept, rank[merge_at[moved]] + 1, replay[moved])
 
 
 def watershed_zones(
@@ -350,10 +353,10 @@ def watershed_zones(
 
     Only the pop order needs the flood.  When the foci cover every regional
     extremum (as :func:`detect_focus_points` gives them), it is a sort by
-    ``(key, flat index)`` with a heap replayed over plateaus alone (see
-    :func:`_sorted_pop_order`); for any other seed set the full heap runs
-    over every reachable cell.  Unmasked cells unreachable from every focus
-    stay unlabeled.
+    ``(key, flat index)`` with a heap replayed only over plateau cells that
+    no focus or more extreme neighbor enters (see :func:`_sorted_pop_order`);
+    for any other seed set the full heap runs over every reachable cell.
+    Unmasked cells unreachable from every focus stay unlabeled.
 
     The foci are checked one at a time, in order, and the first one off the
     grid, on a masked cell or on the cell of an earlier focus raises a
@@ -386,10 +389,7 @@ def watershed_zones(
 
     order = _sorted_pop_order(grid, seeds)
     if order is None:
-        order = np.array(
-            _flood_order(keys.tolist(), (~valid).tolist(), seeds.tolist(), offsets, False),
-            dtype=np.intp,
-        )
+        order = _flood_order(keys.tolist(), (~valid).tolist(), seeds.tolist(), offsets, False)
     # Each cell links to its earliest-popped neighbor; seeds, and cells no
     # neighbor of which ever pops, are roots.
     n = keys.size

@@ -5,9 +5,11 @@ The oracles below are the earlier implementations of core grouping
 ``connected_components``), connected components (``scipy.sparse.csgraph``),
 watershed growth (label on first pop, stale entries skipped; and the
 one-entry-per-cell heap flood, ``heap_watershed``, that labels on first
-push), core extents (one ``cells_of`` call per anchored zone), consensus
-voting (one pass per core id) and the translation of zones to cores (one
-``chebyshev`` call per anchor and member for anchors outside every core).
+push), the watershed's pop order with a heap replayed from every entered
+plateau cell (``oracle_sorted_pop_order``), core extents (one ``cells_of``
+call per anchored zone), consensus voting (one pass per core id) and the
+translation of zones to cores (one ``chebyshev`` call per anchor and member
+for anchors outside every core).
 The per-focus bookkeeping has its loop versions too: the watershed's check
 of one focus at a time (``oracle_focus_seeds``), recurrence counts in a dict
 (``oracle_mine_frequent_foci``) and zone-to-core translation through one
@@ -38,6 +40,7 @@ from gridclust.mistic import (
     _cell_cores,
     _close_pairs,
     _components,
+    _flood_order,
     _group_cells,
     _key_grid,
     _padded_keys,
@@ -237,6 +240,40 @@ def heap_watershed(field, foci, orientation, pops=None):
                 heapq.heappush(heap, (key_of[q], q))
     grid = np.array(labels, dtype=np.int32).reshape(-1, width)[1:-1, 1:-1]
     return ZoneMap(geom, np.maximum(grid, -1), anchors)
+
+
+def oracle_sorted_pop_order(grid, seeds):
+    """The flood's pop order with a heap replayed from every plateau cell that
+    is a seed or has a more extreme neighbor, or None when the seeds miss a
+    regional extremum.  Each level's other cells merge into the replay by
+    flat index, a plateau cell sorting at the largest flat index popped so
+    far on its level."""
+    keys, offsets = grid.keys, grid.offsets
+    valid = keys < np.inf
+    entered = grid.beaten.copy()
+    entered[seeds] = True
+    plateau = np.zeros(keys.size, dtype=bool)
+    plateau[grid.heads] = True
+    plateau[grid.tails] = True
+    plateau &= valid
+    if (valid & ~plateau & ~entered).any():
+        return None
+    starts = np.flatnonzero(plateau & entered).tolist()
+    replay = _flood_order(keys.tolist(), (~plateau).tolist(), starts, offsets, True)
+    if replay.size < plateau.sum():
+        return None
+
+    # Sort by (key, merge position, replay position); a non-plateau cell's
+    # merge position is its own flat index.
+    merge_at = np.arange(keys.size)
+    replay_at = np.zeros(keys.size, dtype=np.intp)
+    if replay.size:
+        level = np.concatenate(([0], np.cumsum(keys[replay[1:]] != keys[replay[:-1]])))
+        shift = level * keys.size
+        merge_at[replay] = np.maximum.accumulate(replay + shift) - shift
+        replay_at[replay] = np.arange(replay.size)
+    cells = np.flatnonzero(valid)
+    return cells[np.lexsort((replay_at[cells], merge_at[cells], keys[cells]))]
 
 
 def oracle_build_cores(table, mode, radius, yearly_zones):
@@ -462,6 +499,55 @@ def test_sorted_pop_order_matches_the_heap(case, orientation, data):
         got = watershed_zones(field, foci, orientation)
         assert np.array_equal(got.labels, expected.labels)
         assert got.anchors == expected.anchors
+
+
+def column(*values):
+    """A one-column field over an open mask, as ``tie_heavy_fields`` draws it."""
+    return np.array(values).reshape(-1, 1), np.ones((len(values), 1), dtype=bool)
+
+
+@given(case=tie_heavy_fields(), orientation=orientations, data=st.data())
+# Under minima a cell's key is its value; "late" cells are plateau cells that
+# are neither seeds nor next to a smaller value.
+# (2, 0) and (3, 0) are late; (3, 0) is reached only through (2, 0).
+@example(case=column(0.0, 1.0, 1.0, 1.0), orientation="minima", data=Drawn([CellIndex(0, 0)]))
+# Two level-1 plateaus (columns 0 and 2), entered at (1, 0) and (2, 2); their
+# replays interleave, and (1, 2) and (0, 2) sort behind (2, 2).
+@example(
+    case=(
+        np.array([[0, 2, 1], [1, 2, 1], [1, 2, 1], [1, 2, 0]], dtype=float),
+        np.ones((4, 3), dtype=bool),
+    ),
+    orientation="minima",
+    data=Drawn([CellIndex(0, 0), CellIndex(3, 2)]),
+)
+# (0, 0) is late and above (1, 0), which queues it.
+@example(case=column(1.0, 1.0, 0.0), orientation="minima", data=Drawn([CellIndex(2, 0)]))
+# A plateau of 0.0 and -0.0: (1, 0) is late and above (2, 0), which queues it.
+@example(
+    case=column(0.0, -0.0, 0.0, -1.0), orientation="minima", data=Drawn([CellIndex(3, 0)])
+)
+# The seeds miss the minimum plateau [1, 1]: every heap gives None.
+@example(
+    case=column(1.0, 1.0, 2.0, 2.0, 2.0), orientation="minima", data=Drawn([CellIndex(3, 0)])
+)
+def test_sorted_pop_order_matches_the_oracle(case, orientation, data):
+    values, mask = case
+    field = make_field(values, mask=mask)
+    if not mask.any():
+        return
+    open_cells = [CellIndex(int(r), int(c)) for r, c in np.argwhere(mask)]
+    drawn = data.draw(st.lists(st.sampled_from(open_cells), min_size=1, unique=True))
+    detected = [fp.cell for fp in detect_focus_points(field, orientation)]
+    grid = _key_grid(field, orientation)
+    for cells in (drawn, sorted(set(drawn) | set(detected))):
+        seeds = np.array([(r + 1) * grid.width + c + 1 for r, c in cells])
+        expected = oracle_sorted_pop_order(grid, seeds)
+        got = _sorted_pop_order(grid, seeds)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and got.tolist() == expected.tolist()
 
 
 @given(case=tie_heavy_fields(), data=st.data())
