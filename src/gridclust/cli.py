@@ -124,8 +124,13 @@ def _read_labels_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
         parts = line.split(",")
         if len(parts) != 3:
             raise ParameterError(f"{path} line {i}: expected 'row,col,label'")
+        tokens = [part.strip() for part in parts]
         try:
-            r, c, lab = int(parts[0]), int(parts[1]), int(parts[2])
+            # int() alone would also take '+', '_' and non-ASCII digits, which
+            # the grid-CSV reader refuses; it refuses over 4,300 digits itself.
+            if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
+                raise ValueError
+            r, c, lab = map(int, tokens)
         except ValueError:
             raise ParameterError(f"{path} line {i}: non-integer entry") from None
         if r < 0 or c < 0 or lab < 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import calendar as _pycalendar
 import datetime as _dt
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -132,6 +133,15 @@ class GridGeometry:
 
     def lon_edges(self) -> np.ndarray:
         return self.origin_lon + self.cell_dlon * (np.arange(self.ncols + 1) - 0.5)
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as a Python int, or :class:`ParameterError` naming ``name``
+    unless ``operator.index`` accepts it (numpy integers do, floats do not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

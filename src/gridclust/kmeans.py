@@ -24,7 +24,6 @@ seed, so the results are those of the serial loop.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,7 +32,7 @@ import numpy as np
 from ._forked import forked_map
 from ._forked import usable_cpus as _usable_cpus
 from .errors import EmptyDomainError, InternalError, ParameterError
-from .gridcore import PLANAR, CellIndex, GridGeometry, ZoneMap
+from .gridcore import PLANAR, CellIndex, GridGeometry, ZoneMap, as_integer
 from .ingest import AnnualMeanStack
 
 _MAX_ITER = 300
@@ -241,14 +240,6 @@ def _kmeanspp_init(
     return X.take(centers, axis=0), dists
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int, or :class:`ParameterError` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _labels_grid(features: FeatureMatrix, point_labels: np.ndarray) -> np.ndarray:
     grid = np.full(features.geometry.shape, -1, dtype=np.int32)
     grid[features._rows, features._cols] = point_labels
@@ -301,9 +292,9 @@ def run_kmeans(
     n = X.shape[0]
     if n == 0:
         raise EmptyDomainError("feature matrix has no cells")
-    k = _integer("k", k)
-    seed = _integer("seed", seed)
-    max_iter = _integer("max_iter", max_iter)
+    k = as_integer("k", k)
+    seed = as_integer("seed", seed)
+    max_iter = as_integer("max_iter", max_iter)
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     if max_iter < 1:
@@ -400,11 +391,11 @@ def sweep_k(
     CPU, with the same results as the serial loop.
     """
     try:
-        ks = sorted(_integer("ks entry", k) for k in ks)
+        ks = sorted(as_integer("ks entry", k) for k in ks)
     except TypeError:
         raise ParameterError(f"ks must be a list of integers, got {ks!r}") from None
-    seed = _integer("seed", seed)
-    restarts = _integer("restarts", restarts)
+    seed = as_integer("seed", seed)
+    restarts = as_integer("restarts", restarts)
     if not ks:
         raise ParameterError("ks must be non-empty")
     if restarts < 1:

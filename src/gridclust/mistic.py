@@ -18,8 +18,8 @@ The pipeline runs in five stages over a stack of annual fields:
 4. cores: grouping of all observed focus cells, either by 8-connected
    contiguity (CC) or within a Chebyshev radius with transitive closure
    (CR), classified by member recurrence into CHD / CLD / CND.  Close pairs
-   come from a window search over sorted flat cell keys and are closed
-   into groups by a numpy connected-components helper;
+   come from a window search over sorted flat cell keys and are closed by
+   a numpy connected-components helper into groups named by their first cell;
 5. consensus: per-cell modal core assignment across all years.  Core
    extents and consensus share one zone-to-core translation: each zone's
    anchor focus is looked up in a member-to-core dict, and only an anchor
@@ -47,6 +47,7 @@ from .gridcore import (
     GridGeometry,
     ScalarField,
     ZoneMap,
+    as_integer,
 )
 from .ingest import AnnualMeanStack
 
@@ -82,6 +83,8 @@ class FocusFrequencyTable:
     min_years: int
 
     def __post_init__(self) -> None:
+        for name in ("total_years", "min_years"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.total_years < 1:
             raise ParameterError("total_years must be >= 1")
         if self.min_years < 1:
@@ -174,8 +177,7 @@ def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     edge hooks the roots of both endpoints onto the smaller of the two, and
     labels then jump to their label's label until stable.  Rounds repeat
     until one changes nothing, when both ends of every edge share a root.
-    Returns dense labels ``0..C-1``, numbered by each component's smallest
-    node.
+    Returns each node's root, the smallest node of its component.
     """
     lab = np.arange(n)
     while True:
@@ -183,8 +185,7 @@ def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
         low = np.minimum(root_h, root_t)
         changed = low < np.maximum(root_h, root_t)
         if not changed.any():
-            # Each root is its component's smallest node: number the roots.
-            return (np.cumsum(lab == np.arange(n)) - 1)[lab]
+            return lab
         np.minimum.at(lab, root_h[changed], low[changed])
         np.minimum.at(lab, root_t[changed], low[changed])
         lab = _roots(lab)
@@ -245,8 +246,8 @@ def detect_focus_points(
     Every 8-connected component of equal-valued unmasked cells (a strict
     extremum is the one-cell case) whose unmasked neighbors are all on the
     wrong side emits one focus at its lexicographically smallest cell; a
-    component spanning every unmasked cell emits none.  Results are ordered
-    by (row, col).
+    component spanning every unmasked cell emits none.  Each component is
+    named by that cell, its root (:func:`_components`), so foci come in (row, col) order.
     """
     grid = _key_grid(field, orientation)
     valid = grid.keys < np.inf
@@ -255,9 +256,10 @@ def detect_focus_points(
         raise EmptyDomainError("field is fully masked")
 
     component = _components(grid.keys.size, grid.heads, grid.tails)
-    _, first, size = np.unique(component, return_index=True, return_counts=True)
-    blocked = np.bincount(component, weights=grid.beaten) > 0
-    emit = np.sort(first[valid[first] & ~blocked & (size < total_valid)])
+    first = np.flatnonzero(component == np.arange(component.size))
+    size = np.bincount(component)[first]
+    blocked = np.bincount(component, weights=grid.beaten)[first] > 0
+    emit = first[valid[first] & ~blocked & (size < total_valid)]
 
     rows, cols = np.divmod(emit, grid.width)
     rows, cols = (rows - 1).tolist(), (cols - 1).tolist()
@@ -463,8 +465,8 @@ def _group_cells(cells: list[CellIndex], max_dist: int) -> list[list[CellIndex]]
     """Transitive closure of 'within Chebyshev distance max_dist' over cells:
     the pairs of :func:`_close_pairs` closed by :func:`_components`.
 
-    Each group keeps the order of ``cells``, so sorted input gives sorted
-    groups; groups come in the order of their first cell.
+    Groups are keyed by their root, the index of their first cell, and come
+    in its order; each keeps the order of ``cells``, so sorted input gives sorted groups.
     """
     rc = np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
     heads, tails = _close_pairs(rc, max_dist)
@@ -504,11 +506,13 @@ def _cell_cores(
     return np.where(keys[slot] == flat, ids[slot], -1)
 
 
-def _check_grouping(mode: str, radius: int) -> None:
+def _check_grouping(mode: str, radius: int) -> int:
     if mode not in (MODE_CC, MODE_CR):
         raise ParameterError(f"mode must be 'cc' or 'cr', got {mode!r}")
+    radius = as_integer("radius", radius)
     if mode == MODE_CR and radius < 1:
         raise ParameterError(f"CR mode requires radius >= 1, got radius={radius}")
+    return radius
 
 
 def build_cores(
@@ -528,7 +532,7 @@ def build_cores(
     frequency, ties by smallest member cell.  Dominance is left unset; see
     :func:`classify_core`.
     """
-    _check_grouping(mode, radius)
+    radius = _check_grouping(mode, radius)
     cells = sorted(table.counts)
     if not cells:
         return []
@@ -678,14 +682,15 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
     if stack.n_years == 0:
         raise EmptyDomainError("stack has no years")
     _check_orientation(params.orientation)
-    if params.min_years < 1:
-        raise ParameterError(f"min_years must be >= 1, got min_years={params.min_years}")
+    min_years = as_integer("min_years", params.min_years)
+    if min_years < 1:
+        raise ParameterError(f"min_years must be >= 1, got min_years={min_years}")
     _check_grouping(params.mode, params.radius)
     theta_dom = params.theta_dom
     if theta_dom is None:
         # Derived from the frequent threshold, clamped so the CHD bar stays
         # on top when min_years/total_years exceeds it (short stacks).
-        theta_dom = min(params.min_years / stack.n_years, params.theta_high)
+        theta_dom = min(min_years / stack.n_years, params.theta_high)
     _check_thresholds(params.theta_high, theta_dom)
     notices: list[str] = []
 
@@ -707,9 +712,7 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
     finally:
         _shared.grid = None
 
-    table = mine_frequent_foci(
-        [yearly_foci[y] for y in stack.years], stack.n_years, params.min_years
-    )
+    table = mine_frequent_foci([yearly_foci[y] for y in stack.years], stack.n_years, min_years)
 
     zone_list = [yearly_zones[y] for y in stack.years]
     cores = build_cores(table, params.mode, params.radius, zone_list)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from gridclust.gridcore import (
     CELSIUS,
@@ -16,9 +16,13 @@ from gridclust.synth import write_planted_dataset
 # database, so the suite is reproducible.  Hypothesis still writes
 # .hypothesis/constants/ where it runs; .gitignore covers it.  The deep
 # profile (pytest --hypothesis-profile=gridclust-deep) draws five times as
-# many examples, as reproducibly.
+# many examples, as reproducibly.  The mutants profile (tests/mutants.py)
+# draws the default examples but does not shrink a failure it finds.
 settings.register_profile("gridclust", derandomize=True, database=None, deadline=None)
 settings.register_profile("gridclust-deep", settings.get_profile("gridclust"), max_examples=500)
+settings.register_profile(
+    "gridclust-mutants", settings.get_profile("gridclust"), phases=(Phase.explicit, Phase.generate)
+)
 settings.load_profile("gridclust")
 
 

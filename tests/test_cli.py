@@ -384,6 +384,33 @@ class TestCompareCommand:
                    "--out", tmp_path / "o") == 2
         assert "label cell (3, 24) outside the dataset grid (24, 24)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        ["1_0,0,1", "\uff11,0,1", " +2 ,0,1", "0,+2,1", "0,0,\u0663", "0,2.0,1", "0,0,-",
+         "0,0,--1", "0,,1", "0,0,1e3", "0,0,0x1",
+         pytest.param("0,0," + "9" * 5000, id="5000 digits")],
+    )
+    @pytest.mark.parametrize("command", ["render", "compare"])
+    def test_non_integer_token_exits_two(self, tmp_path, capsys, command, line):
+        # Only ASCII digits with an optional leading '-' read as an entry.
+        labels = tmp_path / "token.csv"
+        labels.write_text(f"row,col,label\n0,1,1\n{line}\n", encoding="utf-8")
+        others = [] if command == "render" else [labels]
+        assert run(command, labels, *others, "--out", tmp_path / "out") == 2
+        assert f"{labels} line 3: non-integer entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["-1,0,1", " -3 ,0,1", "0,0,-7"])
+    def test_minus_sign_reads_as_negative_entry(self, tmp_path, capsys, line):
+        labels = tmp_path / "minus.csv"
+        labels.write_text(f"row,col,label\n{line}\n")
+        assert run("render", labels, "--out", tmp_path / "out") == 2
+        assert f"{labels} line 2: negative entry" in capsys.readouterr().err
+
+    def test_padded_ascii_tokens_read(self, tmp_path):
+        labels = tmp_path / "padded.csv"
+        labels.write_text("row,col,label\n 0 ,\t007,1\u3000\n")
+        assert run("render", labels, "--out", tmp_path / "out") == 0
+
     def test_label_beyond_int32_exits_two(self, tmp_path, capsys):
         labels = tmp_path / "big.csv"
         labels.write_text("row,col,label\n0,0,2147483648\n")

@@ -207,6 +207,20 @@ class TestMining:
         table = mine_frequent_foci(yearly, 5, 1)
         assert table.frequency(cell) == 1.0
 
+    @pytest.mark.parametrize(
+        "total_years, min_years, named",
+        [(5.0, 1, "total_years"), (5, 2.5, "min_years"), ("5", 1, "total_years"),
+         (5, None, "min_years")],
+    )
+    def test_non_integer_table_parameters_rejected(self, total_years, min_years, named):
+        with pytest.raises(ParameterError, match=f"^{named} must be an integer"):
+            FocusFrequencyTable({CellIndex(0, 0): 1}, total_years, min_years)
+
+    def test_numpy_integer_table_parameters_become_ints(self):
+        table = FocusFrequencyTable({CellIndex(0, 0): 1}, np.int64(5), np.uint8(1))
+        assert (table.total_years, table.min_years) == (5, 1)
+        assert type(table.total_years) is int and type(table.min_years) is int
+
     def test_year_order_invariance(self):
         rng = np.random.default_rng(13)
         yearly = []
@@ -288,6 +302,13 @@ class TestCores:
         table = table_from_counts({(0, 0): 1}, 5)
         with pytest.raises(ParameterError):
             build_cores(table, "cr", radius=0)
+
+    @pytest.mark.parametrize("mode", ["cc", "cr"])
+    @pytest.mark.parametrize("radius", [1.5, 2.0, float("inf"), "2", None])
+    def test_non_integer_radius_rejected(self, mode, radius):
+        table = table_from_counts({(0, 0): 1}, 5)
+        with pytest.raises(ParameterError, match="^radius must be an integer"):
+            build_cores(table, mode, radius=radius)
 
 
 class TestClassify:
@@ -515,6 +536,11 @@ class TestRunMistic:
             (MisticParams(min_years=0, theta_dom=0.3), "min_years"),
             (MisticParams(min_years=1, mode="cr", radius=0), "radius"),
             (MisticParams(min_years=1, mode="ring"), "mode"),
+            (MisticParams(min_years=2.5), "^min_years must be an integer"),
+            (MisticParams(min_years=12.0), "^min_years must be an integer"),
+            (MisticParams(min_years=1, mode="cr", radius=1.5), "^radius must be an integer"),
+            (MisticParams(min_years=1, mode="cr", radius=float("inf")), "^radius must be an integer"),
+            (MisticParams(min_years=1, radius=1.5), "^radius must be an integer"),
         ],
     )
     def test_grouping_and_min_years_checked_before_the_years(self, monkeypatch, params, named):
@@ -528,6 +554,16 @@ class TestRunMistic:
             run_mistic(stack, params)
         assert "theta" not in str(raised.value)
         assert calls == []
+
+    def test_numpy_integer_parameters_accepted(self):
+        stack, _ = make_planted_stack(nrows=12, ncols=12, n_years=5, b_exact=2, seed=9)
+        plain = run_mistic(stack, MisticParams(min_years=2, mode="cr", radius=2))
+        res = run_mistic(stack, MisticParams(min_years=np.int64(2), mode="cr", radius=np.int32(2)))
+        assert res.cores == plain.cores
+        assert np.array_equal(res.consensus.labels, plain.consensus.labels)
+        assert res.theta_dom == plain.theta_dom == 2 / 5
+        assert type(res.table.min_years) is int
+        assert all(type(core.radius) is int for core in res.cores)
 
     def test_theta_dom_defaults_to_frequency_threshold(self):
         stack, _ = make_planted_stack(nrows=12, ncols=12, n_years=5, b_exact=2, seed=9)

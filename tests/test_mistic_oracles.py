@@ -162,6 +162,14 @@ def scipy_components(n, heads, tails):
     return connected_components(graph, directed=False)[1]
 
 
+def assert_components_named_by_roots(got, n, heads, tails):
+    """``got`` partitions the nodes exactly as scipy does, and labels each
+    node by the smallest node of its component (its root)."""
+    assert np.array_equal(np.unique(got, return_inverse=True)[1], scipy_components(n, heads, tails))
+    assert np.array_equal(got[got], got)
+    assert (got <= np.arange(n)).all()
+
+
 def scipy_close_pairs(cells, radius):
     pairs = cKDTree(cells).query_pairs(radius, p=np.inf, output_type="ndarray")
     return sorted(map(tuple, pairs.tolist()))
@@ -410,9 +418,7 @@ def test_components_match_scipy(graph):
     n, edges = graph
     heads = np.array([h for h, _ in edges], dtype=np.intp)
     tails = np.array([t for _, t in edges], dtype=np.intp)
-    got = _components(n, heads, tails)
-    assert np.array_equal(got, scipy_components(n, heads, tails))
-    assert np.array_equal(np.unique(got), np.arange(got.max() + 1))
+    assert_components_named_by_roots(_components(n, heads, tails), n, heads, tails)
 
 
 def test_components_match_scipy_on_long_shuffled_paths():
@@ -423,7 +429,7 @@ def test_components_match_scipy_on_long_shuffled_paths():
         # cut the path into pieces so several components remain
         keep = rng.random(n - 1) < 0.99
         heads, tails = heads[keep], tails[keep]
-        assert np.array_equal(_components(n, heads, tails), scipy_components(n, heads, tails))
+        assert_components_named_by_roots(_components(n, heads, tails), n, heads, tails)
 
 
 @given(cells=cell_layouts(), radius=st.integers(1, 6))
