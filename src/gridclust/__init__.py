@@ -48,6 +48,7 @@ from .ingest import (  # noqa: F401
 from .kmeans import FeatureMatrix, ClusterMap, build_features, run_kmeans, sweep_k  # noqa: F401
 from .mistic import (  # noqa: F401
     Core,
+    Foci,
     FocusFrequencyTable,
     FocusPoint,
     MisticParams,

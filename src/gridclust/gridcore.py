@@ -277,6 +277,30 @@ class DailySeriesGrid:
             raise YearLookupError(f"year {year} not in series") from None
 
 
+class CellTable(Mapping[int, CellIndex]):
+    """Labels ``0..n-1`` mapped to the cells ``(rows[i], cols[i])`` of two
+    integer arrays; each ``CellIndex`` is built only when it is read."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        self.rows, self.cols = rows, cols
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(range(len(self.rows)))
+
+    def __getitem__(self, label) -> CellIndex:
+        if not (isinstance(label, (int, np.integer)) and 0 <= label < len(self.rows)):
+            raise KeyError(label)
+        return CellIndex(int(self.rows[label]), int(self.cols[label]))
+
+    def __repr__(self) -> str:
+        return f"CellTable({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class ZoneMap:
     """Per-cell integer zone/cluster labels over a grid.
@@ -284,7 +308,8 @@ class ZoneMap:
     ``labels`` holds -1 for unlabeled (masked or unreached) cells.  The
     anchor table maps each label to the cell that seeded it; watershed maps
     guarantee that each anchor carries its own label, consensus maps record a
-    representative member per core.
+    representative member per core.  A :class:`CellTable` is kept as given;
+    any other mapping is copied into a dict of ``CellIndex`` values.
     """
 
     geometry: GridGeometry
@@ -300,6 +325,8 @@ class ZoneMap:
         if arr.size and arr.min() < -1:
             raise ParameterError("labels must be >= -1")
         object.__setattr__(self, "labels", _freeze(arr))
+        if isinstance(self.anchors, CellTable):
+            return
         anchors = {
             int(k): v if type(v) is CellIndex else CellIndex(*v)
             for k, v in dict(self.anchors).items()

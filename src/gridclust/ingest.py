@@ -210,7 +210,9 @@ def _read_grid_csv(
             continue
         for c, p in enumerate(parts):
             if _parse([p], 1) is None:
-                raise DatasetError(f"{line_name(i)}, cell {c}: unparseable value {p.strip()!r}")
+                # Only spaces and tabs are trimmed: str.strip() would hide U+001F.
+                token = p.strip(" \t")
+                raise DatasetError(f"{line_name(i)}, cell {c}: unparseable value {token!r}")
     raise DatasetError(f"{path}: unparseable values")
 
 

@@ -13,17 +13,20 @@ The pipeline runs in five stages over a stack of annual fields:
    seeded, the pop order is a sort by (key, flat index) in which a heap
    replays only plateau cells that no seed or more extreme neighbor
    enters; other seed sets fall back to the full heap;
-3. recurrence mining: one ``Counter`` over every year's focus cells, with a
-   frequent flag at ``count >= min_years``;
+3. recurrence mining: one ``np.unique`` with counts over the flat codes of
+   every year's focus cells, with a frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
    contiguity (CC) or within a Chebyshev radius with transitive closure
    (CR), classified by member recurrence into CHD / CLD / CND.  Close pairs
    come from a window search over sorted flat cell keys and are closed by
    a numpy connected-components helper into groups named by their first cell;
 5. consensus: per-cell modal core assignment across all years.  Core
-   extents and consensus share one zone-to-core translation: each zone's
-   anchor focus is looked up in a member-to-core dict, and only an anchor
+   extents and consensus share one zone-to-core translation: the anchors of
+   a year's zones index a flat cell-to-core table, and only an anchor
    outside every core takes the consensus's nearest-member search.
+
+Foci stay arrays from detection to consensus (:class:`Foci`); a
+:class:`FocusPoint` is built only when a caller reads one.
 
 The number of cores is an output of the process, never an input.
 """
@@ -32,11 +35,11 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, repeat
-from typing import Callable, Mapping, NamedTuple, Sequence
+from numbers import Real
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .errors import EmptyDomainError, ParameterError, ShapeMismatchError
 from .gridcore import (
     NEIGHBOR_OFFSETS,
     CellIndex,
+    CellTable,
     GridGeometry,
     ScalarField,
     ZoneMap,
@@ -74,6 +78,43 @@ class FocusPoint(NamedTuple):
     value: float
 
 
+class Foci(Sequence[FocusPoint]):
+    """One year's focus points as arrays: ``rows`` and ``cols`` (integers),
+    ``values`` (floats) and the ``year``.
+
+    As a sequence it reads like a list of :class:`FocusPoint`, each built of
+    Python ints and a float only when it is read; a slice is a ``Foci``.
+    It equals any sequence of the same focus points.
+    """
+
+    __slots__ = ("rows", "cols", "values", "year")
+
+    def __init__(self, rows, cols, values, year: int = 0):
+        self.rows, self.cols, self.values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+        self.year = year
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Foci(self.rows[i], self.cols[i], self.values[i], self.year)
+        cell = CellIndex(int(self.rows[i]), int(self.cols[i]))
+        return FocusPoint(cell, self.year, float(self.values[i]))
+
+    def __iter__(self):
+        cells = map(CellIndex, self.rows.tolist(), self.cols.tolist())
+        return map(FocusPoint, cells, repeat(self.year), self.values.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"Foci({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class FocusFrequencyTable:
     """Recurrence counts of focus cells across years."""
@@ -89,7 +130,10 @@ class FocusFrequencyTable:
             raise ParameterError("total_years must be >= 1")
         if self.min_years < 1:
             raise ParameterError("min_years must be >= 1")
-        counts = {CellIndex(*c): int(n) for c, n in dict(self.counts).items()}
+        counts = {
+            c if type(c) is CellIndex else CellIndex(*c): n if type(n) is int else int(n)
+            for c, n in dict(self.counts).items()
+        }
         for cell, n in counts.items():
             if not 0 < n <= self.total_years:
                 raise ParameterError(f"count {n} for {cell} outside (0, {self.total_years}]")
@@ -238,10 +282,9 @@ def _key_grid(field: ScalarField, orientation: str) -> _KeyGrid:
     return _KeyGrid(keys, width, offsets, *_neighbor_relations(keys, offsets))
 
 
-def detect_focus_points(
-    field: ScalarField, orientation: str, year: int = 0
-) -> list[FocusPoint]:
-    """Local extrema of a field over unmasked 8-neighborhoods.
+def detect_focus_points(field: ScalarField, orientation: str, year: int = 0) -> Foci:
+    """Local extrema of a field over unmasked 8-neighborhoods, as a
+    :class:`Foci` sequence of focus points held in arrays.
 
     Every 8-connected component of equal-valued unmasked cells (a strict
     extremum is the one-cell case) whose unmasked neighbors are all on the
@@ -262,9 +305,12 @@ def detect_focus_points(
     emit = first[valid[first] & ~blocked & (size < total_valid)]
 
     rows, cols = np.divmod(emit, grid.width)
-    rows, cols = (rows - 1).tolist(), (cols - 1).tolist()
-    values = field.values[rows, cols].tolist()
-    return list(map(FocusPoint, map(CellIndex, rows, cols), repeat(year), values))
+    rows -= 1
+    cols -= 1
+    values = field.values[rows, cols]
+    for arr in (rows, cols, values):
+        arr.setflags(write=False)  # a watershed's anchor table shares rows and cols
+    return Foci(rows, cols, values, year)
 
 
 def _flood_order(
@@ -341,6 +387,61 @@ def _sorted_pop_order(grid: _KeyGrid, seeds: np.ndarray) -> np.ndarray | None:
     return np.insert(kept, rank[merge_at[moved]] + 1, replay[moved])
 
 
+def _real(v) -> float:
+    """A focus coordinate as a float that compares with the grid bounds as
+    ``v`` does, or NaN, which no bound admits, if ``v`` is no real number."""
+    return float(min(max(v, -2**62), 2**62)) if isinstance(v, (Real, np.bool_)) else np.nan
+
+
+def _focus_seeds(
+    foci: Sequence[FocusPoint], geom: GridGeometry, width: int, valid: np.ndarray
+) -> tuple[np.ndarray, Mapping[int, CellIndex]]:
+    """The padded flat index of every focus and the anchor of every label.
+
+    :class:`Foci` give their arrays and anchor table as they are.  Any other
+    foci are read one cell at a time, each coordinate as :func:`_real` gives
+    it, and anchor their cells as given.  Bounds, mask and repeats are then
+    checked on whole arrays, and the first faulty focus in input order
+    raises (a coordinate that is no number raises its comparison's
+    ``TypeError``).  A cell that does not unpack into two coordinates
+    raises its own error when no focus before it is faulty.
+    """
+    error = None
+    if isinstance(foci, Foci):
+        rows, cols, cells = foci.rows, foci.cols, None
+    else:
+        cells, coords = [], []
+        try:
+            for fp in foci:
+                r, c = cell = fp.cell
+                cells.append(cell)
+                coords.append((_real(r), _real(c)))
+        except (AttributeError, TypeError, ValueError) as exc:
+            error = exc
+        rows, cols = np.array(coords, dtype=float).reshape(-1, 2).T
+    inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
+    # Pad cell 0 is closed, so an off-grid focus never reads as open.
+    seeds = np.where(inside, (rows + 1) * width + cols + 1, 0).astype(np.intp)
+    is_open = valid[seeds]
+    # Open foci by seed, input order within a seed: a repeat follows its first.
+    by_seed = np.flatnonzero(is_open)
+    by_seed = by_seed[np.argsort(seeds[by_seed], kind="stable")]
+    repeated = np.zeros(seeds.size, dtype=bool)
+    repeated[by_seed[1:]] = seeds[by_seed[1:]] == seeds[by_seed[:-1]]
+    fault = ~is_open | repeated
+    if fault.any():
+        i = int(fault.argmax())
+        cell = foci[i].cell if cells is None else cells[i]
+        if not inside[i] and not geom.contains(*cell):
+            raise ParameterError(f"focus {cell} outside the grid")
+        if not is_open[i]:
+            raise ParameterError(f"focus {cell} lies on a masked cell")
+        raise ParameterError(f"duplicate focus cell {cell}")
+    if error is not None:
+        raise error
+    return seeds, CellTable(rows, cols) if cells is None else dict(enumerate(cells))
+
+
 def watershed_zones(
     field: ScalarField, foci: Sequence[FocusPoint], orientation: str
 ) -> ZoneMap:
@@ -360,10 +461,11 @@ def watershed_zones(
     for any other seed set the full heap runs over every reachable cell.
     Unmasked cells unreachable from every focus stay unlabeled.
 
-    The foci are checked one at a time, in order, and the first one off the
-    grid, on a masked cell or on the cell of an earlier focus raises a
-    ``ParameterError`` that names it.  Each zone's anchor is its focus's cell,
-    passed on as given.
+    The foci are checked on whole arrays (:func:`_focus_seeds`), and the
+    first one in input order that is off the grid, on a masked cell or on
+    the cell of an earlier focus raises a ``ParameterError`` that names it.
+    Each zone's anchor is its focus's cell: the arrays of :class:`Foci`, or
+    any other focus's cell as given.
     """
     grid = _key_grid(field, orientation)
     if not foci:
@@ -372,22 +474,7 @@ def watershed_zones(
     geom = field.geometry
 
     valid = keys < np.inf
-    anchors: dict[int, CellIndex] = {}
-    seed_cells: list[int] = []
-    seen: set[int] = set()
-    for i, fp in enumerate(foci):
-        r, c = fp.cell
-        if not geom.contains(r, c):
-            raise ParameterError(f"focus {fp.cell} outside the grid")
-        p = int((r + 1) * width + c + 1)
-        if not valid[p]:
-            raise ParameterError(f"focus {fp.cell} lies on a masked cell")
-        if p in seen:
-            raise ParameterError(f"duplicate focus cell {fp.cell}")
-        seen.add(p)
-        anchors[i] = fp.cell
-        seed_cells.append(p)
-    seeds = np.array(seed_cells)
+    seeds, anchors = _focus_seeds(foci, geom, width, valid)
 
     order = _sorted_pop_order(grid, seeds)
     if order is None:
@@ -416,10 +503,33 @@ def mine_frequent_foci(
 ) -> FocusFrequencyTable:
     """Count per-exact-cell focus recurrence across years.
 
-    Every observed focus cell enters the table; a cell is flagged frequent
-    iff its count reaches ``min_years``.
+    Every observed focus cell enters the table, in the order it is first
+    seen; a cell is flagged frequent iff its count reaches ``min_years``.
+    The cells are counted by one ``np.unique`` over their flat codes.
+    :class:`Foci` give their arrays; any other foci are read one cell at a
+    time, and their coordinates must be integers.
     """
-    counts = Counter(fp.cell for year_foci in yearly_foci for fp in year_foci)
+    rc = [np.zeros((2, 0), dtype=np.int64)]
+    for foci in yearly_foci:
+        if isinstance(foci, Foci):
+            rc.append(np.stack((foci.rows, foci.cols)))
+        else:
+            cells = [(as_integer("focus row", r), as_integer("focus col", c))
+                     for r, c in (fp.cell for fp in foci)]
+            rc.append(np.array(cells, dtype=np.int64).reshape(-1, 2).T)
+    rows, cols = np.concatenate(rc, axis=1)
+    counts = {}
+    if rows.size:
+        # Codes over the ranks of the rows and cols stay below rows.size**2,
+        # however far apart the cells lie.
+        _, row_rank = np.unique(rows, return_inverse=True)
+        col_values, col_rank = np.unique(cols, return_inverse=True)
+        codes = row_rank * col_values.size + col_rank
+        _, first, n = np.unique(codes, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        seen = first[order]
+        cells = map(CellIndex, rows[seen].tolist(), cols[seen].tolist())
+        counts = dict(zip(cells, n[order].tolist()))
     return FocusFrequencyTable(counts, total_years, min_years)
 
 
@@ -484,24 +594,76 @@ def _shared_geometry(yearly_zones: Sequence[ZoneMap]) -> GridGeometry:
     return geom
 
 
-def _cell_cores(
-    zm: ZoneMap, core_of: Mapping[CellIndex, int], nearest: Callable[[CellIndex], int]
-) -> np.ndarray:
-    """The core id of every (flat) cell of ``zm``: ``core_of`` of its zone's
-    anchor, else ``nearest(anchor)``; -1 for an unlabeled cell or a label
-    without an anchor.
+def _grid_codes(cells: Iterable[CellIndex], geom: GridGeometry) -> np.ndarray:
+    """The flat index of each cell that equals a cell of the grid, -1 for any
+    other; coordinates equal to ints count as those ints (1.0, True and
+    ``np.int64(1)`` all equal 1)."""
+    rows, cols = range(geom.nrows), range(geom.ncols)
+    codes = [r * geom.ncols + c if r in rows and c in cols else -1 for r, c in cells]
+    return np.array(codes, dtype=np.int64)
 
-    ``nearest`` runs only for anchors that ``core_of`` lacks.  The table
-    holds one entry per anchor with a non-negative key, sorted by label
-    behind an entry for label -1, and each cell finds its label's entry by
-    binary search: memory follows the zones, not the largest label.
+
+def _core_table(
+    groups: Sequence[Sequence[CellIndex]], ids: Iterable[int], geom: GridGeometry
+) -> tuple[np.ndarray, dict[CellIndex, int]]:
+    """The core id of every (flat) grid cell that is a member of group
+    ``groups[i]`` (core ``ids[i]``), -1 for any other cell, and a dict of the
+    cores of members that are no grid cell.  A cell in several groups
+    belongs to the first."""
+    members = list(chain.from_iterable(groups))
+    owner = np.repeat(np.fromiter(ids, np.int64), [len(group) for group in groups])
+    codes = _grid_codes(members, geom)
+    on_grid = np.flatnonzero(codes >= 0)
+    cells, first = np.unique(codes[on_grid], return_index=True)
+    core_at = np.full(geom.ncells, -1, dtype=np.int64)
+    core_at[cells] = owner[on_grid[first]]
+    odd: dict[CellIndex, int] = {}
+    for i in np.flatnonzero(codes < 0).tolist():
+        odd.setdefault(members[i], int(owner[i]))
+    return core_at, odd
+
+
+def _anchor_codes(zm: ZoneMap) -> tuple[np.ndarray, np.ndarray]:
+    """The non-negative anchor labels of ``zm``, ascending, and the flat index
+    of each one's anchor (-1 if it is no grid cell); a :class:`CellTable`
+    gives both as arrays."""
+    anchors, geom = zm.anchors, zm.geometry
+    if isinstance(anchors, CellTable):
+        rows, cols = anchors.rows, anchors.cols
+        inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
+        return np.arange(len(rows)), np.where(inside, rows * geom.ncols + cols, -1)
+    labels = sorted(label for label in anchors if label >= 0)
+    return np.array(labels, dtype=np.int64), _grid_codes(map(anchors.__getitem__, labels), geom)
+
+
+def _cell_cores(
+    zm: ZoneMap,
+    core_at: np.ndarray,
+    odd: Mapping[CellIndex, int],
+    nearest: Callable[[CellIndex], int],
+) -> np.ndarray:
+    """The core id of every (flat) cell of ``zm``: the core of its zone's
+    anchor (:func:`_core_table`), else ``nearest(anchor)``; -1 for an
+    unlabeled cell or a label without an anchor.
+
+    Anchors that are grid cells index ``core_at`` as one array; any other
+    looks in ``odd``.  ``nearest`` runs only for anchors outside every core.
+    The per-label table holds one entry per anchor with a non-negative key.
+    Labels ``0..n-1`` (a watershed's) index it directly; otherwise it is
+    sorted by label behind an entry for label -1, and each cell finds its
+    label's entry by binary search: memory follows the zones, not the
+    largest label.
     """
-    labels = sorted(label for label in zm.anchors if label >= 0)
-    anchors = map(zm.anchors.__getitem__, labels)
-    ids = [core_of[a] if a in core_of else nearest(a) for a in anchors]
-    ids = np.array([-1] + ids, dtype=np.intp)
-    keys = np.array([-1] + labels, dtype=np.int64)
+    labels, codes = _anchor_codes(zm)
+    ids = np.where(codes >= 0, core_at[codes], -1)
+    for i in np.flatnonzero(ids < 0).tolist():
+        anchor = zm.anchors[labels[i]]
+        ids[i] = odd[anchor] if anchor in odd else nearest(anchor)
     flat = zm.labels.ravel()
+    if not labels.size or labels[-1] < labels.size:
+        return np.append(ids, -1)[np.minimum(flat, labels.size)]
+    keys = np.concatenate(([-1], labels))
+    ids = np.concatenate(([-1], ids))
     slot = np.searchsorted(keys, flat, side="right") - 1
     return np.where(keys[slot] == flat, ids[slot], -1)
 
@@ -541,16 +703,15 @@ def build_cores(
         _group_cells(cells, max_dist),
         key=lambda group: (-max(table.counts[c] for c in group), group[0]),
     )
-    core_of = {cell: i for i, group in enumerate(groups) for cell in group}
-
     extents = [set(group) for group in groups]
     if yearly_zones:
         geom = _shared_geometry(yearly_zones)
+        core_at, odd = _core_table(groups, range(len(groups)), geom)
         # zone_hit[i, cell]: some year's zone anchored on a member of core i
         # holds the (flat) cell.
-        zone_hit = np.zeros((len(groups), geom.nrows * geom.ncols), dtype=bool)
+        zone_hit = np.zeros((len(groups), geom.ncells), dtype=bool)
         for zm in yearly_zones:
-            core_ids = _cell_cores(zm, core_of, lambda anchor: -1)
+            core_ids = _cell_cores(zm, core_at, odd, lambda anchor: -1)
             hit = np.flatnonzero(core_ids >= 0)
             zone_hit[core_ids[hit], hit] = True
         for extent, row in zip(extents, zone_hit):
@@ -613,11 +774,9 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
     if not cores:
         raise ParameterError("consensus requires at least one core")
     geom = _shared_geometry(yearly_zones)
-    ncores, ncells = len(cores), geom.nrows * geom.ncols
-    member_to_core: dict[CellIndex, int] = {}
-    for core in cores:
-        for cell in core.member_cells:
-            member_to_core.setdefault(cell, core.id)
+    ncores, ncells = len(cores), geom.ncells
+    groups = [core.member_cells for core in cores]
+    core_at, odd = _core_table(groups, (core.id for core in cores), geom)
 
     @cache
     def member_arrays() -> tuple[np.ndarray, np.ndarray]:
@@ -632,7 +791,7 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
 
     codes = []
     for zm in yearly_zones:
-        translated = _cell_cores(zm, member_to_core, nearest)
+        translated = _cell_cores(zm, core_at, odd, nearest)
         # Only ids 0..ncores-1 vote; unlabeled cells (-1) and other ids do not.
         voted = np.flatnonzero((translated >= 0) & (translated < ncores))
         codes.append(translated[voted] * ncells + voted)
@@ -663,7 +822,7 @@ class MisticParams:
 @dataclass(frozen=True)
 class MisticResult:
     years: tuple[int, ...]
-    yearly_foci: Mapping[int, tuple[FocusPoint, ...]]
+    yearly_foci: Mapping[int, Sequence[FocusPoint]]
     yearly_zones: Mapping[int, ZoneMap]
     table: FocusFrequencyTable
     cores: tuple[Core, ...]
@@ -694,7 +853,7 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
     _check_thresholds(params.theta_high, theta_dom)
     notices: list[str] = []
 
-    yearly_foci: dict[int, tuple[FocusPoint, ...]] = {}
+    yearly_foci: dict[int, Foci] = {}
     yearly_zones: dict[int, ZoneMap] = {}
     try:
         for year, f in zip(stack.years, stack.fields):
@@ -702,7 +861,7 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
             # Focus detection and the watershed share one key grid per field.
             _shared.grid = (field, params.orientation, _key_grid(field, params.orientation))
             foci = detect_focus_points(field, params.orientation, year=year)
-            yearly_foci[year] = tuple(foci)
+            yearly_foci[year] = foci
             if not foci:
                 notices.append(f"year {year}: no focus points detected")
                 unlabeled = np.full(stack.geometry.shape, -1)

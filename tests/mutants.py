@@ -42,6 +42,9 @@ LABEL_TOKENS = ("tests/test_cli.py", "-k", "non_integer_token")
 GRID_TOKENS = ("tests/test_ingest.py", "-k", "TestTokenGrammar")
 FORKED_ERRORS = ("tests/test_forked.py", "-k", "first_error")
 KMEANS = ("tests/test_kmeans_oracles.py",)
+FOCUS_ARRAYS = ("tests/test_mistic_oracles.py", "-k", "per_focus_checks")
+MINING = ("tests/test_mistic_oracles.py", "-k", "counter")
+ZONE_TO_CORE = ("tests/test_mistic_oracles.py", "-k", "zone_to_core")
 
 MISTIC = "gridclust/mistic.py"
 KMEANS_PY = "gridclust/kmeans.py"
@@ -67,6 +70,19 @@ MUTANTS = [
     Mutant("a component spanning every valid cell emits a focus", MISTIC,
            "~blocked & (size < total_valid)]",
            "~blocked]", DETECTION),
+    # Foci as arrays: the watershed's checks, mining and the zone-to-core table.
+    Mutant("the watershed fault is taken from the last faulty focus", MISTIC,
+           "        i = int(fault.argmax())\n",
+           "        i = fault.size - 1 - int(fault[::-1].argmax())\n", FOCUS_ARRAYS),
+    Mutant("the duplicate check flags the first occurrence, not the repeat", MISTIC,
+           "    repeated[by_seed[1:]] = seeds",
+           "    repeated[by_seed[:-1]] = seeds", FOCUS_ARRAYS),
+    Mutant("the mining counts are one too high", MISTIC,
+           "dict(zip(cells, n[order].tolist()))",
+           "dict(zip(cells, (n[order] + 1).tolist()))", MINING),
+    Mutant("an anchor outside every core maps to core 0", MISTIC,
+           "    core_at = np.full(geom.ncells, -1, dtype=np.int64)\n",
+           "    core_at = np.zeros(geom.ncells, dtype=np.int64)\n", ZONE_TO_CORE),
     # Consensus ties go to the smaller core id.
     Mutant("consensus ties go to the larger core id", MISTIC,
            "    winner = votes.argmax(axis=0)  # first max = smallest id\n",

@@ -209,12 +209,13 @@ class TestTokenGrammar:
 
     @pytest.mark.parametrize("token", ["\x1f10.0", "10.0\x1f"])
     def test_unit_separator_token_is_a_violation(self, tmp_path, token):
-        # numpy's reader strips U+001F, which float() refuses.
+        # numpy's reader strips U+001F, which float() refuses; the message
+        # names the token with its U+001F.
         lines = constant_lines(360, 4)
         lines[7] = ",".join(["10.0", "10.0", token, "10.0"])
         write_gts(tmp_path / "ds", manifest_doc(), {1995: lines})
         (violation,) = validate_dataset(tmp_path / "ds")
-        assert violation.startswith("year 1995 day 7, cell 2: unparseable value")
+        assert violation == f"year 1995 day 7, cell 2: unparseable value {token!r}"
 
     @pytest.mark.parametrize("token", ["1_0", "\uff11"])
     def test_elevation_token_is_one_violation_and_exit_2(self, tmp_path, capsys, token):

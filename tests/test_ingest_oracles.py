@@ -65,7 +65,8 @@ def oracle_parse_day_line(line, ncells, where):
             try:
                 float(p)
             except ValueError:
-                raise DatasetError(f"{where}, cell {idx}: unparseable value {p.strip()!r}") from None
+                token = p.strip(" \t")
+                raise DatasetError(f"{where}, cell {idx}: unparseable value {token!r}") from None
         raise
 
 

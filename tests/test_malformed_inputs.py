@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -141,12 +142,10 @@ def broken_manifests(draw):
     return json.dumps(doc).encode()
 
 
-def is_int(text):
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+def is_label_entry(text):
+    """The label reader's grammar: ASCII digits with an optional leading
+    '-', whitespace around them allowed."""
+    return re.fullmatch(r"\s*-?[0-9]+\s*", text) is not None
 
 
 def is_valid_row(text, nfields):
@@ -197,8 +196,10 @@ def broken_label_files(draw):
         n = draw(st.integers(1, 6).filter(lambda n: n != 3))
         lines.insert(at, ",".join(str(draw(ints)) for _ in range(n)))
     elif how == "token":
-        token = draw(LINE_TEXT.filter(lambda t: "," not in t))
-        assume(not is_int(token))
+        # int() reads the near misses, which the grammar refuses.
+        near_misses = st.sampled_from(["1_0", "+2", "\uff11", "\u0663", " 7\x1f", "1.0", "0x1"])
+        token = draw((LINE_TEXT | near_misses).filter(lambda t: "," not in t))
+        assume(not is_label_entry(token))
         parts = [str(draw(ints)), str(draw(ints)), str(draw(ints))]
         parts[draw(st.integers(0, 2))] = token
         lines.insert(at, ",".join(parts))

@@ -12,6 +12,7 @@ from gridclust.errors import EmptyDomainError, ParameterError
 from gridclust.gridcore import CELSIUS, CellIndex, ZoneMap, neighbors8
 from gridclust.mistic import (
     Core,
+    Foci,
     FocusFrequencyTable,
     FocusPoint,
     MisticParams,
@@ -100,6 +101,30 @@ class TestDetectFocusPoints:
             assert fp.year == year
             # repr tells -0.0 from 0.0: the value is the one at the focus cell.
             assert repr(fp.value) == repr(float(field.values[fp.cell]))
+
+
+class TestFoci:
+    def test_reads_like_a_list_of_focus_points(self):
+        field = two_bump_field()
+        foci = detect_focus_points(field, "maxima", year=1999)
+        first = FocusPoint(CellIndex(6, 6), 1999, float(field.values[6, 6]))
+        second = FocusPoint(CellIndex(13, 17), 1999, float(field.values[13, 17]))
+        assert isinstance(foci, Foci) and foci and len(foci) == 2
+        assert list(foci) == [first, second] and foci[0] == first and foci[-1] == second
+        assert foci == [first, second] and foci == (first, second) and foci != [first]
+        assert isinstance(foci[1:], Foci) and foci[1:] == [second] and foci[::-1] == [second, first]
+        assert second in foci and foci.index(second) == 1 and foci.count(first) == 1
+        assert {type(c) for fp in foci for c in fp.cell} == {int}
+        assert {(type(fp.year), type(fp.value)) for fp in foci} == {(int, float)}
+        assert repr(foci) == f"Foci({[first, second]!r})"
+        with pytest.raises(IndexError):
+            foci[2]
+        with pytest.raises(ValueError, match="read-only"):
+            foci.rows[0] = 0
+
+    def test_no_focus_is_an_empty_sequence(self):
+        foci = detect_focus_points(make_field(np.full((3, 3), 1.0)), "maxima")
+        assert not foci and len(foci) == 0 and list(foci) == [] and foci == ()
 
 
 class TestWatershed:
@@ -515,6 +540,28 @@ class TestRunMistic:
         with_foci = [year for year in stack.years if res.yearly_foci[year]]
         assert with_foci == [2000, 2002, 2003]
         assert len(calls["watershed_zones"]) == len(with_foci)
+
+    def test_builds_no_object_per_focus(self, monkeypatch):
+        # Repeating the years multiplies the foci, not the distinct focus
+        # cells, cores or extents: the CellIndex objects run_mistic builds
+        # must not grow, and it builds no FocusPoint at all.
+        planted, _ = make_planted_stack(nrows=12, ncols=12, n_years=3, b_exact=2, seed=9)
+        built = dict.fromkeys((FocusPoint, CellIndex), 0)
+        for cls in built:
+            def counting(klass, *args, new=cls.__new__, cls=cls):
+                built[cls] += 1
+                return new(klass, *args)
+
+            monkeypatch.setattr(cls, "__new__", counting)
+        counts = []
+        for repeats in (1, 4):
+            stack = _stack_of(list(planted.fields) * repeats)
+            built.update(dict.fromkeys(built, 0))
+            res = run_mistic(stack, MisticParams(orientation="maxima", min_years=1))
+            counts.append((dict(built), sum(map(len, res.yearly_foci.values()))))
+        (once, foci_once), (four_times, foci_four_times) = counts
+        assert foci_four_times == 4 * foci_once > 0
+        assert once == four_times and once[FocusPoint] == 0
 
     @pytest.mark.parametrize(
         "theta_high, theta_dom", [(5.0, None), (0.3, 0.5), (0.6, 0.0), (0.0, None)]

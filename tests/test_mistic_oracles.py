@@ -10,14 +10,18 @@ plateau cell (``oracle_sorted_pop_order``), core extents (one ``cells_of``
 call per anchored zone), consensus voting (one pass per core id) and the
 translation of zones to cores (one ``chebyshev`` call per anchor and member
 for anchors outside every core).
-The per-focus bookkeeping has its loop versions too: the watershed's check
-of one focus at a time (``oracle_focus_seeds``), recurrence counts in a dict
-(``oracle_mine_frequent_foci``) and zone-to-core translation through one
-``core_of`` call per anchor (``oracle_cell_cores``).  The library must
+The per-focus bookkeeping, which the library now does on arrays of foci,
+has its loop versions too: the watershed's check of one focus at a time
+(``oracle_focus_seeds``), recurrence counts in a dict
+(``oracle_mine_frequent_foci``) and in one ``Counter``
+(``oracle_counter_mine_frequent_foci``), and zone-to-core translation through
+one ``core_of`` call per anchor, a member-to-core dict lookup
+(``oracle_cell_cores`` with ``oracle_member_cores``).  The library must
 reproduce them exactly on every input.
 """
 
 import heapq
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -34,12 +38,14 @@ from gridclust.gridcore import CELSIUS, NEIGHBOR_OFFSETS, CellIndex, ZoneMap
 from gridclust.ingest import AnnualMeanStack
 from gridclust.mistic import (
     Core,
+    Foci,
     FocusPoint,
     FocusFrequencyTable,
     MisticParams,
     _cell_cores,
     _close_pairs,
     _components,
+    _core_table,
     _flood_order,
     _group_cells,
     _key_grid,
@@ -75,6 +81,12 @@ def oracle_mine_frequent_foci(yearly_foci, total_years, min_years):
     return FocusFrequencyTable(counts, total_years, min_years)
 
 
+def oracle_counter_mine_frequent_foci(yearly_foci, total_years, min_years):
+    """Recurrence counts as one ``Counter`` over every focus cell."""
+    counts = Counter(fp.cell for year_foci in yearly_foci for fp in year_foci)
+    return FocusFrequencyTable(counts, total_years, min_years)
+
+
 def oracle_focus_seeds(field, foci):
     """The anchor table and padded flat seed indices of the foci, checked one
     focus at a time; raises for the first focus off the grid, on a masked
@@ -106,6 +118,14 @@ def oracle_cell_cores(zm, core_of):
     flat = zm.labels.ravel()
     slot = np.searchsorted(keys, flat, side="right") - 1
     return np.where(keys[slot] == flat, ids[slot], -1)
+
+
+def table_cell_cores(zm, cores, nearest):
+    """The library's translation of ``zm`` to the ids of ``cores`` through
+    their flat cell-to-core table, ``nearest`` for anchors outside them."""
+    groups = [core.member_cells for core in cores]
+    core_at, odd = _core_table(groups, [core.id for core in cores], zm.geometry)
+    return _cell_cores(zm, core_at, odd, nearest)
 
 
 def oracle_member_cores(cores):
@@ -491,7 +511,7 @@ def test_sorted_pop_order_matches_the_heap(case, orientation, data):
     open_cells = [CellIndex(int(r), int(c)) for r, c in np.argwhere(mask)]
     extra = data.draw(st.sets(st.sampled_from(open_cells)))
     extra -= {fp.cell for fp in detected}
-    more = detected + [FocusPoint(cell, 0, float(values[cell])) for cell in sorted(extra)]
+    more = [*detected, *(FocusPoint(cell, 0, float(values[cell])) for cell in sorted(extra))]
     grid = _key_grid(field, orientation)
     for foci in (detected, more):
         if not foci:
@@ -737,7 +757,7 @@ def test_run_mistic_zones_label_exactly_the_mask_in_years_with_foci(stack, orien
             assert np.array_equal(res.yearly_zones[year].labels >= 0, mask)
 
 
-ODD_COORDS = [1.5, 1.0, True, False, "1", np.int64(1), 2**70, -(2**70)]
+ODD_COORDS = [1.5, 1.0, True, False, np.True_, "1", np.int64(1), 2**70, -(2**70)]
 
 
 def focus_cells(shape):
@@ -812,12 +832,12 @@ def test_bookkeeping_matches_the_per_focus_loops(stack, orientation, mode, radiu
     assert cores == oracle_build_cores(table, mode, radius, yearly_zones)
     for used in ([cores] if cores else []) + [data.draw(foreign_cores(mask.shape))]:
         member_to_core = oracle_member_cores(used)
-        lookups = [(member_to_core, oracle_nearest_core(used), oracle_consensus_core_of(used))]
+        lookups = [(oracle_nearest_core(used), oracle_consensus_core_of(used))]
         if used is cores:
-            lookups.append((member_to_core, lambda a: -1, lambda a: member_to_core.get(a, -1)))
+            lookups.append((lambda a: -1, lambda a: member_to_core.get(a, -1)))
         for zm in yearly_zones:
-            for core_of, nearest, oracle_core_of in lookups:
-                got = _cell_cores(zm, core_of, nearest)
+            for nearest, oracle_core_of in lookups:
+                got = table_cell_cores(zm, used, nearest)
                 assert np.array_equal(got, oracle_cell_cores(zm, oracle_core_of))
         if yearly_zones:
             got = consensus_zone_map(yearly_zones, used).labels
@@ -871,11 +891,105 @@ def test_zone_to_core_lookup_with_odd_cells_matches_per_anchor_calls(stack, orie
                                          for c in core.member_cells))
         for core in data.draw(foreign_cores(shape))
     ]
-    member_to_core = oracle_member_cores(cores)
     for zm in yearly_zones:
         assert outcome(
-            lambda: _cell_cores(zm, member_to_core, oracle_nearest_core(cores))
+            lambda: table_cell_cores(zm, cores, oracle_nearest_core(cores))
         ) == outcome(lambda: oracle_cell_cores(zm, oracle_consensus_core_of(cores)))
     assert outcome(lambda: consensus_zone_map(yearly_zones, cores).labels) == outcome(
         lambda: oracle_consensus_labels(yearly_zones, cores, per_anchor_translation)
     )
+
+
+@st.composite
+def focus_arrays(draw, shape):
+    """A ``Foci`` of one to eight drawn cells of Python-int range in and around
+    a grid of ``shape``, repeats allowed."""
+    n = draw(st.integers(1, 8))
+    rows = draw(hnp.arrays(np.int64, n, elements=st.integers(-2, shape[0] + 1)))
+    cols = draw(hnp.arrays(np.int64, n, elements=st.integers(-2, shape[1] + 1)))
+    return Foci(rows, cols, np.zeros(n), draw(st.integers(0, 3)))
+
+
+def foci_of(rows, cols):
+    return Foci(np.array(rows), np.array(cols), np.zeros(len(rows)))
+
+
+@given(case=tie_heavy_fields(), data=st.data())
+# A focus off the grid before a repeat, a repeat before a focus on the
+# masked centre, and a masked focus before a repeat.
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn(foci_of([0, 5, 0], [0, 0, 0])))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn(foci_of([0, 0, 1], [1, 1, 1])))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn(foci_of([2, 1, 2], [2, 1, 2])))
+def test_foci_arrays_match_the_per_focus_checks(case, data):
+    values, mask = case
+    field = make_field(values, mask=mask)
+    foci = data.draw(focus_arrays(mask.shape))
+    points = list(foci)
+    try:
+        anchors, _ = oracle_focus_seeds(field, points)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            watershed_zones(field, foci, "maxima")
+        assert str(got.value) == str(exc)
+    else:
+        got = watershed_zones(field, foci, "maxima")
+        assert got.anchors == anchors
+        assert {tuple(map(type, cell)) for cell in got.anchors.values()} == {(int, int)}
+        assert np.array_equal(got.labels, heap_watershed(field, points, "maxima").labels)
+
+
+@given(stack=tie_heavy_stacks(), orientation=orientations, data=st.data())
+def test_mining_matches_the_counter(stack, orientation, data):
+    # Detected foci, then drawn foci arrays with repeats and negative cells,
+    # as Foci and as lists of focus points.
+    values, mask = stack
+    if not mask.any():
+        return
+    detected = [detect_focus_points(make_field(v, mask=mask), orientation, year=year)
+                for year, v in enumerate(values)]
+    drawn = detected + data.draw(st.lists(focus_arrays(mask.shape), max_size=3))
+    for yearly in (detected, drawn, [list(foci) for foci in drawn]):
+        total = max(1, sum(map(len, yearly)))
+        table = mine_frequent_foci(yearly, total, 1)
+        expected = oracle_counter_mine_frequent_foci(yearly, total, 1)
+        assert list(table.counts.items()) == list(expected.counts.items())
+        assert {type(c) for cell in table.counts for c in cell} <= {int}
+
+
+def test_mining_counts_cells_far_apart():
+    far = [CellIndex(-(2**62), 2**62), CellIndex(2**62, -(2**62)), CellIndex(0, 0)]
+    yearly = [[FocusPoint(cell, 0, 0.0) for cell in far], [FocusPoint(far[1], 1, 0.0)]]
+    table = mine_frequent_foci(yearly, 2, 1)
+    assert list(table.counts.items()) == [(far[0], 1), (far[1], 2), (far[2], 1)]
+
+
+@pytest.mark.parametrize("cell", [(1.0, 0), (0, 2.5), ("1", 0), (0, np.float64(2.0))])
+def test_mining_refuses_coordinates_that_are_not_integers(cell):
+    with pytest.raises(ParameterError, match="^focus (row|col) must be an integer"):
+        mine_frequent_foci([[FocusPoint((0, 0), 0, 0.0), FocusPoint(cell, 0, 0.0)]], 1, 1)
+
+
+@given(stack=tie_heavy_stacks(max_years=3), orientation=orientations, data=st.data())
+def test_zone_to_core_table_matches_the_dict(stack, orientation, data):
+    # A watershed's anchors are arrays (a CellTable); the same anchors as a
+    # dict take the other branch of the anchor codes.
+    values, mask = stack
+    if not mask.any():
+        return
+    for year_values in values:
+        field = make_field(year_values, mask=mask)
+        foci = detect_focus_points(field, orientation)
+        if not foci:
+            continue
+        zm = watershed_zones(field, foci, orientation)
+        as_dict = ZoneMap(zm.geometry, zm.labels, dict(zm.anchors))
+        cores = data.draw(foreign_cores(mask.shape))
+        member_to_core = oracle_member_cores(cores)
+        lookups = [
+            (lambda a: -1, lambda a: member_to_core.get(a, -1)),
+            (oracle_nearest_core(cores), oracle_consensus_core_of(cores)),
+        ]
+        for nearest, core_of in lookups:
+            expected = oracle_cell_cores(zm, core_of)
+            for anchored in (zm, as_dict):
+                assert np.array_equal(table_cell_cores(anchored, cores, nearest), expected)
