@@ -149,6 +149,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _as_vector(name: str, values, dtype: type) -> np.ndarray:
+    """A frozen 1-D ``dtype`` copy of ``values``, or :class:`ParameterError`
+    unless their numpy dtype is a number type that casts to ``dtype`` within
+    its kind (an unsigned into a signed integer; bool never) and the values fit."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if arr.ndim != 1 or arr.size and (kind == "b" or not np.can_cast(arr.dtype, dtype, "same_kind")):
+        raise ParameterError(
+            f"{name} must be a 1-D array of {np.dtype(dtype)}, got {arr.dtype} of shape {arr.shape}"
+        )
+    out = arr.astype(dtype)
+    if kind == "u" and (out < 0).any():
+        raise ParameterError(f"{name} must fit in {np.dtype(dtype)}")
+    return _freeze(out)
+
+
 def _as_values(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.shape != shape:
@@ -279,12 +295,15 @@ class DailySeriesGrid:
 
 class CellTable(Mapping[int, CellIndex]):
     """Labels ``0..n-1`` mapped to the cells ``(rows[i], cols[i])`` of two
-    integer arrays; each ``CellIndex`` is built only when it is read."""
+    integer arrays, kept as frozen int64 copies; each ``CellIndex`` is built
+    only when it is read."""
 
     __slots__ = ("rows", "cols")
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        self.rows, self.cols = rows, cols
+    def __init__(self, rows, cols) -> None:
+        self.rows, self.cols = _as_vector("rows", rows, np.int64), _as_vector("cols", cols, np.int64)
+        if self.rows.shape != self.cols.shape:
+            raise ShapeMismatchError(f"{self.rows.size} rows != {self.cols.size} cols")
 
     def __len__(self) -> int:
         return len(self.rows)

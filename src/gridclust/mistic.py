@@ -13,8 +13,8 @@ The pipeline runs in five stages over a stack of annual fields:
    seeded, the pop order is a sort by (key, flat index) in which a heap
    replays only plateau cells that no seed or more extreme neighbor
    enters; other seed sets fall back to the full heap;
-3. recurrence mining: one ``np.unique`` with counts over the flat codes of
-   every year's focus cells, with a frequent flag at ``count >= min_years``;
+3. recurrence mining: one stable sort of every year's focus cells by
+   (row, col), with a frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
    contiguity (CC) or within a Chebyshev radius with transitive closure
    (CR), classified by member recurrence into CHD / CLD / CND.  Close pairs
@@ -51,6 +51,7 @@ from .gridcore import (
     GridGeometry,
     ScalarField,
     ZoneMap,
+    _as_vector,
     as_integer,
 )
 from .ingest import AnnualMeanStack
@@ -79,18 +80,27 @@ class FocusPoint(NamedTuple):
 
 
 class Foci(Sequence[FocusPoint]):
-    """One year's focus points as arrays: ``rows`` and ``cols`` (integers),
-    ``values`` (floats) and the ``year``.
+    """One year's focus points as arrays: ``rows`` and ``cols`` (int64),
+    ``values`` (float64) and the ``year``.
 
-    As a sequence it reads like a list of :class:`FocusPoint`, each built of
-    Python ints and a float only when it is read; a slice is a ``Foci``.
-    It equals any sequence of the same focus points.
+    The arrays are frozen copies of the ones given; ``rows`` and ``cols``
+    must hold integers and all three the same number of entries, else
+    :class:`ParameterError`.  As a sequence it reads like a list of
+    :class:`FocusPoint`, each built of Python ints and a float only when it
+    is read; a slice is a ``Foci``.  It equals any sequence of the same
+    focus points.
     """
 
     __slots__ = ("rows", "cols", "values", "year")
 
     def __init__(self, rows, cols, values, year: int = 0):
-        self.rows, self.cols, self.values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+        self.rows = _as_vector("focus rows", rows, np.int64)
+        self.cols = _as_vector("focus cols", cols, np.int64)
+        self.values = _as_vector("focus values", values, np.float64)
+        if not self.rows.size == self.cols.size == self.values.size:
+            raise ParameterError(
+                f"{self.rows.size} focus rows, {self.cols.size} cols and {self.values.size} values"
+            )
         self.year = year
 
     def __len__(self) -> int:
@@ -307,10 +317,7 @@ def detect_focus_points(field: ScalarField, orientation: str, year: int = 0) -> 
     rows, cols = np.divmod(emit, grid.width)
     rows -= 1
     cols -= 1
-    values = field.values[rows, cols]
-    for arr in (rows, cols, values):
-        arr.setflags(write=False)  # a watershed's anchor table shares rows and cols
-    return Foci(rows, cols, values, year)
+    return Foci(rows, cols, field.values[rows, cols], year)
 
 
 def _flood_order(
@@ -385,6 +392,18 @@ def _sorted_pop_order(grid: _KeyGrid, seeds: np.ndarray) -> np.ndarray | None:
     rank = np.empty(n, dtype=np.intp)
     rank[kept] = np.arange(kept.size)
     return np.insert(kept, rank[merge_at[moved]] + 1, replay[moved])
+
+
+def _integral(name: str, v) -> int:
+    """``v`` as the int it equals (1.0, True and ``np.int64(1)`` all equal 1),
+    or :class:`ParameterError` naming ``name`` if it equals none."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise ParameterError(f"{name} must equal an integer, got {v!r}")
+    return i
 
 
 def _real(v) -> float:
@@ -505,31 +524,38 @@ def mine_frequent_foci(
 
     Every observed focus cell enters the table, in the order it is first
     seen; a cell is flagged frequent iff its count reaches ``min_years``.
-    The cells are counted by one ``np.unique`` over their flat codes.
+    The cells are counted in one stable sort of their coordinates.
     :class:`Foci` give their arrays; any other foci are read one cell at a
-    time, and their coordinates must be integers.
+    time, each coordinate as the int it equals (:func:`_integral`), and a
+    cell first seen there enters the table as given.
     """
-    rc = [np.zeros((2, 0), dtype=np.int64)]
+    rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    given: dict[int, CellIndex] = {}  # cells of plain focus lists, by input position
     for foci in yearly_foci:
         if isinstance(foci, Foci):
-            rc.append(np.stack((foci.rows, foci.cols)))
-        else:
-            cells = [(as_integer("focus row", r), as_integer("focus col", c))
-                     for r, c in (fp.cell for fp in foci)]
-            rc.append(np.array(cells, dtype=np.int64).reshape(-1, 2).T)
-    rows, cols = np.concatenate(rc, axis=1)
-    counts = {}
-    if rows.size:
-        # Codes over the ranks of the rows and cols stay below rows.size**2,
-        # however far apart the cells lie.
-        _, row_rank = np.unique(rows, return_inverse=True)
-        col_values, col_rank = np.unique(cols, return_inverse=True)
-        codes = row_rank * col_values.size + col_rank
-        _, first, n = np.unique(codes, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        seen = first[order]
-        cells = map(CellIndex, rows[seen].tolist(), cols[seen].tolist())
-        counts = dict(zip(cells, n[order].tolist()))
+            rows.append(foci.rows)
+            cols.append(foci.cols)
+            continue
+        cells = [fp.cell for fp in foci]
+        given.update(enumerate(cells, sum(map(len, rows))))
+        rc = [(_integral("focus row", r), _integral("focus col", c)) for r, c in cells]
+        rc = np.array(rc, dtype=np.int64).reshape(-1, 2)
+        rows.append(rc[:, 0])
+        cols.append(rc[:, 1])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # Each cell's foci in one run, in input order.
+    by_cell = np.lexsort((cols, rows))
+    rows, cols = rows[by_cell], cols[by_cell]
+    starts = np.ones(rows.size, dtype=bool)
+    starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(starts)
+    n = np.diff(starts, append=rows.size)
+    order = np.argsort(by_cell[starts])  # cells in the order first seen
+    starts = starts[order]
+    cells = map(CellIndex, rows[starts].tolist(), cols[starts].tolist())
+    if given:
+        cells = [given.get(i, cell) for i, cell in zip(by_cell[starts].tolist(), cells)]
+    counts = dict(zip(cells, n[order].tolist()))
     return FocusFrequencyTable(counts, total_years, min_years)
 
 
@@ -648,8 +674,7 @@ def _cell_cores(
 
     Anchors that are grid cells index ``core_at`` as one array; any other
     looks in ``odd``.  ``nearest`` runs only for anchors outside every core.
-    The per-label table holds one entry per anchor with a non-negative key.
-    Labels ``0..n-1`` (a watershed's) index it directly; otherwise it is
+    The per-label table holds one entry per anchor with a non-negative key,
     sorted by label behind an entry for label -1, and each cell finds its
     label's entry by binary search: memory follows the zones, not the
     largest label.
@@ -660,8 +685,6 @@ def _cell_cores(
         anchor = zm.anchors[labels[i]]
         ids[i] = odd[anchor] if anchor in odd else nearest(anchor)
     flat = zm.labels.ravel()
-    if not labels.size or labels[-1] < labels.size:
-        return np.append(ids, -1)[np.minimum(flat, labels.size)]
     keys = np.concatenate(([-1], labels))
     ids = np.concatenate(([-1], ids))
     slot = np.searchsorted(keys, flat, side="right") - 1

@@ -45,6 +45,7 @@ KMEANS = ("tests/test_kmeans_oracles.py",)
 FOCUS_ARRAYS = ("tests/test_mistic_oracles.py", "-k", "per_focus_checks")
 MINING = ("tests/test_mistic_oracles.py", "-k", "counter")
 ZONE_TO_CORE = ("tests/test_mistic_oracles.py", "-k", "zone_to_core")
+FOCI = ("tests/test_mistic.py", "-k", "TestFoci")
 
 MISTIC = "gridclust/mistic.py"
 KMEANS_PY = "gridclust/kmeans.py"
@@ -83,6 +84,12 @@ MUTANTS = [
     Mutant("an anchor outside every core maps to core 0", MISTIC,
            "    core_at = np.full(geom.ncells, -1, dtype=np.int64)\n",
            "    core_at = np.zeros(geom.ncells, dtype=np.int64)\n", ZONE_TO_CORE),
+    Mutant("mining keys a cell by its ints, not as first seen", MISTIC,
+           "given.get(i, cell) for",
+           "cell for", MINING),
+    Mutant("Foci shares the arrays it is given", "gridclust/gridcore.py",
+           "    out = arr.astype(dtype)\n",
+           "    out = arr.astype(dtype, copy=False)\n", FOCI),
     # Consensus ties go to the smaller core id.
     Mutant("consensus ties go to the larger core id", MISTIC,
            "    winner = votes.argmax(axis=0)  # first max = smallest id\n",

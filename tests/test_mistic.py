@@ -125,6 +125,39 @@ class TestFoci:
     def test_no_focus_is_an_empty_sequence(self):
         foci = detect_focus_points(make_field(np.full((3, 3), 1.0)), "maxima")
         assert not foci and len(foci) == 0 and list(foci) == [] and foci == ()
+        assert Foci([], [], []) == [] and Foci([], [], []).rows.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "rows, cols, values",
+        [
+            ([1.0], [2], [0.0]),
+            ([1], np.array([2.5]), [0.0]),
+            (np.array([True]), [2], [0.0]),
+            (["1"], [2], [0.0]),
+            ([1], [2], ["0.0"]),
+            (np.array([2**63], dtype=np.uint64), [2], [0.0]),
+            ([[1]], [[2]], [[0.0]]),
+            ([1, 2], [2], [0.0]),
+            ([1], [2], [0.0, 1.0]),
+        ],
+    )
+    def test_refuses_arrays_that_are_no_focus_cells(self, rows, cols, values):
+        with pytest.raises(ParameterError, match=r"^(focus rows|focus cols|focus values|\d focus rows)"):
+            Foci(rows, cols, values)
+
+    def test_keeps_frozen_copies_of_its_arrays(self):
+        field = two_bump_field()
+        rows, cols = np.array([6, 13], dtype=np.int64), np.array([6, 17], dtype=np.uint16)
+        values = field.values[rows, cols].copy()
+        foci = Foci(rows, cols, values, 1999)
+        assert foci == detect_focus_points(field, "maxima", year=1999)
+        zones = watershed_zones(field, foci, "maxima")
+        rows[0], cols[0], values[0] = 0, 0, -1.0
+        assert foci[0] == FocusPoint(CellIndex(6, 6), 1999, float(field.values[6, 6]))
+        assert dict(zones.anchors) == {0: CellIndex(6, 6), 1: CellIndex(13, 17)}
+        assert (foci.rows.dtype, foci.cols.dtype, foci.values.dtype) == (np.int64, np.int64, np.float64)
+        for arr in (foci.rows, foci.cols, foci.values, zones.anchors.rows, zones.anchors.cols):
+            assert not arr.flags.writeable
 
 
 class TestWatershed:

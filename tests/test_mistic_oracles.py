@@ -963,9 +963,23 @@ def test_mining_counts_cells_far_apart():
     assert list(table.counts.items()) == [(far[0], 1), (far[1], 2), (far[2], 1)]
 
 
-@pytest.mark.parametrize("cell", [(1.0, 0), (0, 2.5), ("1", 0), (0, np.float64(2.0))])
-def test_mining_refuses_coordinates_that_are_not_integers(cell):
-    with pytest.raises(ParameterError, match="^focus (row|col) must be an integer"):
+@pytest.mark.parametrize("cell", [(1.0, 0), (True, 0), (np.float64(1.0), np.int8(0))])
+def test_mining_counts_coordinates_equal_to_ints_as_the_counter(cell):
+    # The first-seen cell is the key, as in the Counter; (1, 0) counts with it.
+    yearly = [
+        [FocusPoint(cell, 0, 0.0), FocusPoint((0, 0), 0, 0.0)],
+        foci_of([1, 0], [0, 0]),
+        [FocusPoint(CellIndex(1, 0), 2, 0.0)],
+    ]
+    table = mine_frequent_foci(yearly, 3, 1)
+    expected = oracle_counter_mine_frequent_foci(yearly, 3, 1)
+    assert list(table.counts.items()) == list(expected.counts.items()) == [(cell, 3), ((0, 0), 2)]
+    assert [tuple(map(type, c)) for c in table.counts] == [tuple(map(type, cell)), (int, int)]
+
+
+@pytest.mark.parametrize("cell", [(0, 2.5), ("1", 0), (0, float("nan")), (float("inf"), 0)])
+def test_mining_refuses_coordinates_equal_to_no_int(cell):
+    with pytest.raises(ParameterError, match="^focus (row|col) must equal an integer"):
         mine_frequent_foci([[FocusPoint((0, 0), 0, 0.0), FocusPoint(cell, 0, 0.0)]], 1, 1)
 
 
