@@ -649,17 +649,27 @@ def _core_table(
     return core_at, odd
 
 
-def _anchor_codes(zm: ZoneMap) -> tuple[np.ndarray, np.ndarray]:
-    """The non-negative anchor labels of ``zm``, ascending, and the flat index
-    of each one's anchor (-1 if it is no grid cell); a :class:`CellTable`
-    gives both as arrays."""
-    anchors, geom = zm.anchors, zm.geometry
+def _anchor_slots(zm: ZoneMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-negative anchor labels of ``zm``, ascending; the flat index of
+    each one's anchor (-1 if it is no grid cell); and the position of every
+    (flat) cell's label among them (-1 for an unlabeled cell or a label
+    without an anchor).
+
+    A :class:`CellTable` labels its anchors ``0..n-1``, so a label is its own
+    position.  Any other anchor table is sorted by label behind an entry for
+    label -1, and each cell finds its label by binary search: memory follows
+    the zones, not the largest label.
+    """
+    anchors, geom, flat = zm.anchors, zm.geometry, zm.labels.ravel()
     if isinstance(anchors, CellTable):
-        rows, cols = anchors.rows, anchors.cols
+        rows, cols, n = anchors.rows, anchors.cols, len(anchors)
         inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
-        return np.arange(len(rows)), np.where(inside, rows * geom.ncols + cols, -1)
-    labels = sorted(label for label in anchors if label >= 0)
-    return np.array(labels, dtype=np.int64), _grid_codes(map(anchors.__getitem__, labels), geom)
+        return np.arange(n), np.where(inside, rows * geom.ncols + cols, -1), np.where(flat < n, flat, -1)
+    labels = np.array(sorted(label for label in anchors if label >= 0), dtype=np.int64)
+    codes = _grid_codes(map(anchors.__getitem__, labels.tolist()), geom)
+    keys = np.concatenate(([-1], labels))
+    slot = np.searchsorted(keys, flat, side="right") - 1
+    return labels, codes, np.where(keys[slot] == flat, slot - 1, -1)
 
 
 def _cell_cores(
@@ -670,25 +680,17 @@ def _cell_cores(
 ) -> np.ndarray:
     """The core id of every (flat) cell of ``zm``: the core of its zone's
     anchor (:func:`_core_table`), else ``nearest(anchor)``; -1 for an
-    unlabeled cell or a label without an anchor.
+    unlabeled cell or a label without an anchor (:func:`_anchor_slots`).
 
     Anchors that are grid cells index ``core_at`` as one array; any other
     looks in ``odd``.  ``nearest`` runs only for anchors outside every core.
-    The per-label table holds one entry per anchor with a non-negative key,
-    sorted by label behind an entry for label -1, and each cell finds its
-    label's entry by binary search: memory follows the zones, not the
-    largest label.
     """
-    labels, codes = _anchor_codes(zm)
+    labels, codes, slots = _anchor_slots(zm)
     ids = np.where(codes >= 0, core_at[codes], -1)
     for i in np.flatnonzero(ids < 0).tolist():
         anchor = zm.anchors[labels[i]]
         ids[i] = odd[anchor] if anchor in odd else nearest(anchor)
-    flat = zm.labels.ravel()
-    keys = np.concatenate(([-1], labels))
-    ids = np.concatenate(([-1], ids))
-    slot = np.searchsorted(keys, flat, side="right") - 1
-    return np.where(keys[slot] == flat, ids[slot], -1)
+    return np.append(ids, -1)[slots]  # slot -1 takes the appended -1
 
 
 def _check_grouping(mode: str, radius: int) -> int:

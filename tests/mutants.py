@@ -84,6 +84,9 @@ MUTANTS = [
     Mutant("an anchor outside every core maps to core 0", MISTIC,
            "    core_at = np.full(geom.ncells, -1, dtype=np.int64)\n",
            "    core_at = np.zeros(geom.ncells, dtype=np.int64)\n", ZONE_TO_CORE),
+    Mutant("a CellTable label past its anchors reads as an anchored zone", MISTIC,
+           "np.where(flat < n, flat, -1)",
+           "np.minimum(flat, n - 1)", ZONE_TO_CORE),
     Mutant("mining keys a cell by its ints, not as first seen", MISTIC,
            "given.get(i, cell) for",
            "cell for", MINING),
