@@ -38,8 +38,7 @@ import threading
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, repeat
-from numbers import Real
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,7 +126,13 @@ class Foci(Sequence[FocusPoint]):
 
 @dataclass(frozen=True)
 class FocusFrequencyTable:
-    """Recurrence counts of focus cells across years."""
+    """Recurrence counts of focus cells across years.
+
+    Keys are read by the cell rule of the foci (:func:`_int_cell`) and
+    counts as the ints they equal (:func:`_integral`), so a key or count
+    equal to no int within int64 raises; a table of :class:`CellIndex` keys
+    of ints, as mining gives, is checked without rebuilding its keys.
+    """
 
     counts: Mapping[CellIndex, int]
     total_years: int
@@ -140,10 +145,11 @@ class FocusFrequencyTable:
             raise ParameterError("total_years must be >= 1")
         if self.min_years < 1:
             raise ParameterError("min_years must be >= 1")
-        counts = {
-            c if type(c) is CellIndex else CellIndex(*c): n if type(n) is int else int(n)
-            for c, n in dict(self.counts).items()
-        }
+        counts = dict(self.counts)
+        if not _int_cells(counts.keys()):
+            counts = {_int_cell(f"cell {c!r}", c): n for c, n in counts.items()}
+        if not set(map(type, counts.values())) <= {int}:
+            counts = {c: _integral(f"count for {c}", n) for c, n in counts.items()}
         for cell, n in counts.items():
             if not 0 < n <= self.total_years:
                 raise ParameterError(f"count {n} for {cell} outside (0, {self.total_years}]")
@@ -396,48 +402,52 @@ def _sorted_pop_order(grid: _KeyGrid, seeds: np.ndarray) -> np.ndarray | None:
 
 def _integral(name: str, v) -> int:
     """``v`` as the int it equals (1.0, True and ``np.int64(1)`` all equal 1),
-    or :class:`ParameterError` naming ``name`` if it equals none."""
+    or :class:`ParameterError` naming ``name`` if it equals none in int64."""
     try:
         i = int(v)
     except (TypeError, ValueError, OverflowError):
         i = None
-    if i is None or i != v:
-        raise ParameterError(f"{name} must equal an integer, got {v!r}")
+    if i is None or i != v or not -2**63 <= i < 2**63:
+        raise ParameterError(f"{name} must equal an integer within int64, got {v!r}")
     return i
 
 
-def _real(v) -> float:
-    """A focus coordinate as a float that compares with the grid bounds as
-    ``v`` does, or NaN, which no bound admits, if ``v`` is no real number."""
-    return float(min(max(v, -2**62), 2**62)) if isinstance(v, (Real, np.bool_)) else np.nan
+def _int_cell(name: str, cell) -> CellIndex:
+    """``cell`` as the :class:`CellIndex` of the ints its row and col equal
+    (:func:`_integral`); the cell rule of foci and of table keys."""
+    r, c = cell
+    return CellIndex(_integral(f"{name} row", r), _integral(f"{name} col", c))
+
+
+def _int_cells(cells: Collection) -> bool:
+    """Whether every cell is a :class:`CellIndex` of ints within int64, one
+    the cell rule (:func:`_int_cell`) keeps as it is."""
+    if not set(map(type, cells)) <= {CellIndex}:
+        return False
+    coords = list(chain.from_iterable(cells))
+    return set(map(type, coords)) <= {int} and (
+        -2**63 <= min(coords, default=0) <= max(coords, default=0) < 2**63
+    )
+
+
+def _focus_cells(foci: Sequence[FocusPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and cols of the foci as int64 arrays: a :class:`Foci` gives
+    its own; any other sequence is read one focus at a time by the cell rule
+    (:func:`_int_cell`), and its first fault in input order raises."""
+    if isinstance(foci, Foci):
+        return foci.rows, foci.cols
+    cells = [_int_cell("focus", fp.cell) for fp in foci]
+    return tuple(np.array(cells, dtype=np.int64).reshape(-1, 2).T)
 
 
 def _focus_seeds(
-    foci: Sequence[FocusPoint], geom: GridGeometry, width: int, valid: np.ndarray
-) -> tuple[np.ndarray, Mapping[int, CellIndex]]:
-    """The padded flat index of every focus and the anchor of every label.
+    rows: np.ndarray, cols: np.ndarray, geom: GridGeometry, width: int, valid: np.ndarray
+) -> np.ndarray:
+    """The padded flat index of the focus at each ``(rows[i], cols[i])``.
 
-    :class:`Foci` give their arrays and anchor table as they are.  Any other
-    foci are read one cell at a time, each coordinate as :func:`_real` gives
-    it, and anchor their cells as given.  Bounds, mask and repeats are then
-    checked on whole arrays, and the first faulty focus in input order
-    raises (a coordinate that is no number raises its comparison's
-    ``TypeError``).  A cell that does not unpack into two coordinates
-    raises its own error when no focus before it is faulty.
+    Bounds, mask and repeats are checked on the whole arrays, and the first
+    faulty focus in input order raises a ``ParameterError`` naming its cell.
     """
-    error = None
-    if isinstance(foci, Foci):
-        rows, cols, cells = foci.rows, foci.cols, None
-    else:
-        cells, coords = [], []
-        try:
-            for fp in foci:
-                r, c = cell = fp.cell
-                cells.append(cell)
-                coords.append((_real(r), _real(c)))
-        except (AttributeError, TypeError, ValueError) as exc:
-            error = exc
-        rows, cols = np.array(coords, dtype=float).reshape(-1, 2).T
     inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
     # Pad cell 0 is closed, so an off-grid focus never reads as open.
     seeds = np.where(inside, (rows + 1) * width + cols + 1, 0).astype(np.intp)
@@ -450,15 +460,13 @@ def _focus_seeds(
     fault = ~is_open | repeated
     if fault.any():
         i = int(fault.argmax())
-        cell = foci[i].cell if cells is None else cells[i]
-        if not inside[i] and not geom.contains(*cell):
+        cell = CellIndex(int(rows[i]), int(cols[i]))
+        if not inside[i]:
             raise ParameterError(f"focus {cell} outside the grid")
         if not is_open[i]:
             raise ParameterError(f"focus {cell} lies on a masked cell")
         raise ParameterError(f"duplicate focus cell {cell}")
-    if error is not None:
-        raise error
-    return seeds, CellTable(rows, cols) if cells is None else dict(enumerate(cells))
+    return seeds
 
 
 def watershed_zones(
@@ -480,11 +488,12 @@ def watershed_zones(
     for any other seed set the full heap runs over every reachable cell.
     Unmasked cells unreachable from every focus stay unlabeled.
 
-    The foci are checked on whole arrays (:func:`_focus_seeds`), and the
-    first one in input order that is off the grid, on a masked cell or on
-    the cell of an earlier focus raises a ``ParameterError`` that names it.
-    Each zone's anchor is its focus's cell: the arrays of :class:`Foci`, or
-    any other focus's cell as given.
+    The focus cells are read first (:func:`_focus_cells`): a coordinate
+    that equals no int within int64 raises, naming it.  They are then
+    checked on whole arrays (:func:`_focus_seeds`), and the first focus in
+    input order that is off the grid, on a masked cell or on the cell of an
+    earlier focus raises a ``ParameterError`` that names it.  Zone ``i`` is
+    anchored on the cell of focus ``i``, in a :class:`CellTable`.
     """
     grid = _key_grid(field, orientation)
     if not foci:
@@ -492,8 +501,9 @@ def watershed_zones(
     keys, width, offsets = grid.keys, grid.width, grid.offsets
     geom = field.geometry
 
+    rows, cols = _focus_cells(foci)
     valid = keys < np.inf
-    seeds, anchors = _focus_seeds(foci, geom, width, valid)
+    seeds = _focus_seeds(rows, cols, geom, width, valid)
 
     order = _sorted_pop_order(grid, seeds)
     if order is None:
@@ -514,7 +524,7 @@ def watershed_zones(
     label = np.full(n, -1, dtype=np.int32)
     label[seeds] = np.arange(seeds.size)
     grid = label[_roots(parent)].reshape(-1, width)[1:-1, 1:-1]
-    return ZoneMap(geom, grid, anchors)
+    return ZoneMap(geom, grid, CellTable(rows, cols))
 
 
 def mine_frequent_foci(
@@ -523,26 +533,13 @@ def mine_frequent_foci(
     """Count per-exact-cell focus recurrence across years.
 
     Every observed focus cell enters the table, in the order it is first
-    seen; a cell is flagged frequent iff its count reaches ``min_years``.
-    The cells are counted in one stable sort of their coordinates.
-    :class:`Foci` give their arrays; any other foci are read one cell at a
-    time, each coordinate as the int it equals (:func:`_integral`), and a
-    cell first seen there enters the table as given.
+    seen, keyed by ints; a cell is flagged frequent iff its count reaches
+    ``min_years``.  Each year's cells are read by :func:`_focus_cells`, so a
+    coordinate counts as the int it equals and one that equals no int
+    within int64 raises; the cells are counted in one stable sort.
     """
-    rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    given: dict[int, CellIndex] = {}  # cells of plain focus lists, by input position
-    for foci in yearly_foci:
-        if isinstance(foci, Foci):
-            rows.append(foci.rows)
-            cols.append(foci.cols)
-            continue
-        cells = [fp.cell for fp in foci]
-        given.update(enumerate(cells, sum(map(len, rows))))
-        rc = [(_integral("focus row", r), _integral("focus col", c)) for r, c in cells]
-        rc = np.array(rc, dtype=np.int64).reshape(-1, 2)
-        rows.append(rc[:, 0])
-        cols.append(rc[:, 1])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    arrays = [(np.zeros(0, np.int64),) * 2, *map(_focus_cells, yearly_foci)]
+    rows, cols = (np.concatenate(coord) for coord in zip(*arrays))
     # Each cell's foci in one run, in input order.
     by_cell = np.lexsort((cols, rows))
     rows, cols = rows[by_cell], cols[by_cell]
@@ -553,8 +550,6 @@ def mine_frequent_foci(
     order = np.argsort(by_cell[starts])  # cells in the order first seen
     starts = starts[order]
     cells = map(CellIndex, rows[starts].tolist(), cols[starts].tolist())
-    if given:
-        cells = [given.get(i, cell) for i, cell in zip(by_cell[starts].tolist(), cells)]
     counts = dict(zip(cells, n[order].tolist()))
     return FocusFrequencyTable(counts, total_years, min_years)
 

@@ -45,6 +45,7 @@ KMEANS = ("tests/test_kmeans_oracles.py",)
 FOCUS_ARRAYS = ("tests/test_mistic_oracles.py", "-k", "per_focus_checks")
 MINING = ("tests/test_mistic_oracles.py", "-k", "counter")
 ZONE_TO_CORE = ("tests/test_mistic_oracles.py", "-k", "zone_to_core")
+CELL_RULE = ("tests/test_mistic_oracles.py", "-k", "cell_rule")
 FOCI = ("tests/test_mistic.py", "-k", "TestFoci")
 
 MISTIC = "gridclust/mistic.py"
@@ -87,9 +88,19 @@ MUTANTS = [
     Mutant("a CellTable label past its anchors reads as an anchored zone", MISTIC,
            "np.where(flat < n, flat, -1)",
            "np.minimum(flat, n - 1)", ZONE_TO_CORE),
-    Mutant("mining keys a cell by its ints, not as first seen", MISTIC,
-           "given.get(i, cell) for",
-           "cell for", MINING),
+    # One cell rule for focus lists and table keys: an int within int64.
+    Mutant("the cell rule takes 1.5 as 1", MISTIC,
+           "    if i is None or i != v or not -2**63 <= i < 2**63:\n",
+           "    if i is None or not -2**63 <= i < 2**63:\n", CELL_RULE),
+    Mutant("the cell rule takes ints beyond int64", MISTIC,
+           "    if i is None or i != v or not -2**63 <= i < 2**63:\n",
+           "    if i is None or i != v:\n", CELL_RULE),
+    Mutant("table keys that are CellIndex of ints skip the int64 bound", MISTIC,
+           "        -2**63 <= min(coords, default=0) <= max(coords, default=0) < 2**63\n",
+           "        True\n", CELL_RULE),
+    Mutant("table counts are kept as given", MISTIC,
+           "    if not set(map(type, counts.values())) <= {int}:\n",
+           "    if False:\n", CELL_RULE),
     Mutant("Foci shares the arrays it is given", "gridclust/gridcore.py",
            "    out = arr.astype(dtype)\n",
            "    out = arr.astype(dtype, copy=False)\n", FOCI),

@@ -11,8 +11,9 @@ call per anchored zone), consensus voting (one pass per core id) and the
 translation of zones to cores (one ``chebyshev`` call per anchor and member
 for anchors outside every core).
 The per-focus bookkeeping, which the library now does on arrays of foci,
-has its loop versions too: the watershed's check of one focus at a time
-(``oracle_focus_seeds``), recurrence counts in a dict
+has its loop versions too: the cell rule, one coordinate at a time
+(``oracle_int64``, ``oracle_focus_cells``), the watershed's check of one
+focus at a time after it (``oracle_focus_seeds``), recurrence counts in a dict
 (``oracle_mine_frequent_foci``) and in one ``Counter``
 (``oracle_counter_mine_frequent_foci``), and zone-to-core translation through
 one ``core_of`` call per anchor, a member-to-core dict lookup
@@ -21,6 +22,7 @@ reproduce them exactly on every input.
 """
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -87,24 +89,49 @@ def oracle_counter_mine_frequent_foci(yearly_foci, total_years, min_years):
     return FocusFrequencyTable(counts, total_years, min_years)
 
 
+def oracle_int64(v):
+    """The int a coordinate or count equals if that int lies in int64, else
+    None: the cell rule of foci and of table keys."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == v and -(2**63) <= i <= 2**63 - 1 else None
+
+
+def oracle_focus_cells(foci):
+    """Each focus's cell as a ``CellIndex`` of ints, every focus converted
+    before any is checked; raises for the first coordinate, in input order,
+    that equals no int in int64."""
+    cells = []
+    for fp in foci:
+        r, c = fp.cell
+        for name, v in (("row", r), ("col", c)):
+            if oracle_int64(v) is None:
+                raise ParameterError(f"focus {name} must equal an integer within int64, got {v!r}")
+        cells.append(CellIndex(oracle_int64(r), oracle_int64(c)))
+    return cells
+
+
 def oracle_focus_seeds(field, foci):
-    """The anchor table and padded flat seed indices of the foci, checked one
-    focus at a time; raises for the first focus off the grid, on a masked
-    cell or on the cell of an earlier focus."""
+    """The anchor table and padded flat seed indices of the foci, converted
+    first (``oracle_focus_cells``), then checked one focus at a time; raises
+    for the first focus off the grid, on a masked cell or on the cell of an
+    earlier focus."""
     keys, width, _ = _padded_keys(field, "maxima")
     geom, valid = field.geometry, keys < np.inf
     anchors, seed_cells, seen = {}, [], set()
-    for i, fp in enumerate(foci):
-        r, c = fp.cell
+    for i, cell in enumerate(oracle_focus_cells(foci)):
+        r, c = cell
         if not geom.contains(r, c):
-            raise ParameterError(f"focus {fp.cell} outside the grid")
-        p = int((r + 1) * width + c + 1)
+            raise ParameterError(f"focus {cell} outside the grid")
+        p = (r + 1) * width + c + 1
         if not valid[p]:
-            raise ParameterError(f"focus {fp.cell} lies on a masked cell")
+            raise ParameterError(f"focus {cell} lies on a masked cell")
         if p in seen:
-            raise ParameterError(f"duplicate focus cell {fp.cell}")
+            raise ParameterError(f"duplicate focus cell {cell}")
         seen.add(p)
-        anchors[i] = CellIndex(r, c)
+        anchors[i] = cell
         seed_cells.append(p)
     return anchors, seed_cells
 
@@ -230,8 +257,10 @@ def oracle_watershed(field, foci, orientation):
 
 def heap_watershed(field, foci, orientation, pops=None):
     """The priority flood with one heap entry per cell: a popped cell labels
-    and queues each open neighbor not yet labeled.  Popped flat indices of
-    the padded key grid are appended to ``pops`` when it is given."""
+    and queues each open neighbor not yet labeled.  The foci are converted
+    first (``oracle_focus_cells``) and then checked one at a time.  Popped
+    flat indices of the padded key grid are appended to ``pops`` when it is
+    given."""
     keys, width, offsets = _padded_keys(field, orientation)
     if not foci:
         raise ParameterError("watershed requires at least one focus")
@@ -242,17 +271,17 @@ def heap_watershed(field, foci, orientation, pops=None):
     key_of = keys.tolist()
     anchors = {}
     heap = []
-    for i, fp in enumerate(foci):
-        r, c = fp.cell
+    for i, cell in enumerate(oracle_focus_cells(foci)):
+        r, c = cell
         if not geom.contains(r, c):
-            raise ParameterError(f"focus {fp.cell} outside the grid")
-        p = int((r + 1) * width + c + 1)
+            raise ParameterError(f"focus {cell} outside the grid")
+        p = (r + 1) * width + c + 1
         if labels[p] == -2:
-            raise ParameterError(f"focus {fp.cell} lies on a masked cell")
+            raise ParameterError(f"focus {cell} lies on a masked cell")
         if labels[p] != -1:
-            raise ParameterError(f"duplicate focus cell {fp.cell}")
+            raise ParameterError(f"duplicate focus cell {cell}")
         labels[p] = i
-        anchors[i] = CellIndex(r, c)
+        anchors[i] = cell
         heap.append((key_of[p], p))
     heapq.heapify(heap)
 
@@ -577,7 +606,8 @@ def test_sorted_pop_order_matches_the_oracle(case, orientation, data):
 
 
 @given(case=tie_heavy_fields(), data=st.data())
-# Coordinates beyond int64 are outside the grid, and earlier foci report first.
+# Coordinates beyond int64 are refused, before any focus is checked against
+# the grid.
 @example(
     case=(np.zeros((2, 2)), np.array([[False, True], [True, True]])),
     data=Drawn([CellIndex(2**70, 0)]),
@@ -757,7 +787,9 @@ def test_run_mistic_zones_label_exactly_the_mask_in_years_with_foci(stack, orien
             assert np.array_equal(res.yearly_zones[year].labels >= 0, mask)
 
 
-ODD_COORDS = [1.5, 1.0, True, False, np.True_, "1", np.int64(1), 2**70, -(2**70)]
+ODD_COORDS = [
+    1.5, 1.0, True, False, np.True_, "1", np.int64(1), 2**70, -(2**70), 2**63, -(2**63),
+]
 
 
 def focus_cells(shape):
@@ -965,7 +997,8 @@ def test_mining_counts_cells_far_apart():
 
 @pytest.mark.parametrize("cell", [(1.0, 0), (True, 0), (np.float64(1.0), np.int8(0))])
 def test_mining_counts_coordinates_equal_to_ints_as_the_counter(cell):
-    # The first-seen cell is the key, as in the Counter; (1, 0) counts with it.
+    # A cell equal to (1, 0) counts with it, as in the Counter, and the key
+    # holds the ints.
     yearly = [
         [FocusPoint(cell, 0, 0.0), FocusPoint((0, 0), 0, 0.0)],
         foci_of([1, 0], [0, 0]),
@@ -974,13 +1007,94 @@ def test_mining_counts_coordinates_equal_to_ints_as_the_counter(cell):
     table = mine_frequent_foci(yearly, 3, 1)
     expected = oracle_counter_mine_frequent_foci(yearly, 3, 1)
     assert list(table.counts.items()) == list(expected.counts.items()) == [(cell, 3), ((0, 0), 2)]
-    assert [tuple(map(type, c)) for c in table.counts] == [tuple(map(type, cell)), (int, int)]
+    assert [tuple(map(type, c)) for c in table.counts] == [(int, int), (int, int)]
 
 
-@pytest.mark.parametrize("cell", [(0, 2.5), ("1", 0), (0, float("nan")), (float("inf"), 0)])
+@pytest.mark.parametrize(
+    "cell",
+    [(0, 2.5), ("1", 0), (0, float("nan")), (float("inf"), 0), (2**63, 0), (0, -(2**63) - 1)],
+)
 def test_mining_refuses_coordinates_equal_to_no_int(cell):
+    # An int beyond int64 is refused as well, not left to numpy's OverflowError.
     with pytest.raises(ParameterError, match="^focus (row|col) must equal an integer"):
         mine_frequent_foci([[FocusPoint((0, 0), 0, 0.0), FocusPoint(cell, 0, 0.0)]], 1, 1)
+
+
+def test_cell_rule_refuses_a_watershed_focus_between_cells():
+    # Read as a float, (1.5, 0) would seed padded flat index 2.5 * 5 + 1,
+    # truncated to 13: the cell of the focus (1, 2), named as a duplicate.
+    foci = [FocusPoint((1.5, 0), 0, 0.0), FocusPoint((1, 2), 0, 0.0)]
+    named = r"^focus row must equal an integer within int64, got 1\.5$"
+    with pytest.raises(ParameterError, match=named):
+        watershed_zones(make_field(GRID_3X3), foci, "maxima")
+
+
+@pytest.mark.parametrize(
+    "counts, named",
+    [
+        ({(1.5, 0): 1}, r"^cell \(1\.5, 0\) row .* got 1\.5$"),
+        ({CellIndex(0, 0): 2.5}, r"^count for CellIndex\(row=0, col=0\) .* got 2\.5$"),
+        ({CellIndex(2**63, 0): 1}, r"^cell CellIndex\(row=9223372036854775808, col=0\) row "),
+        ({CellIndex(0, -(2**63) - 1): 1}, r"^cell CellIndex\(row=0, col=-9223372036854775809\) col"),
+        ({("1", 0): 1}, r"^cell \('1', 0\) row .* got '1'$"),
+    ],
+    ids=["key_between_cells", "count_between_ints", "row_past_int64", "col_past_int64",
+         "digit_key"],
+)
+def test_cell_rule_refuses_table_keys_and_counts(counts, named):
+    with pytest.raises(ParameterError, match=named):
+        FocusFrequencyTable({CellIndex(1, 1): 1, **counts}, 3, 1)
+
+
+def test_cell_rule_gives_table_keys_and_counts_as_ints():
+    counts = {(True, np.int64(0)): np.int8(2), CellIndex(-(2**63), 2**63 - 1): 1.0}
+    table = FocusFrequencyTable(counts, 3, 1)
+    assert list(table.counts.items()) == [((1, 0), 2), ((-(2**63), 2**63 - 1), 1)]
+    assert {type(c) for c in table.counts} == {CellIndex}
+    assert {type(v) for cell, n in table.counts.items() for v in (*cell, n)} == {int}
+
+
+@given(case=tie_heavy_fields(), data=st.data())
+# A focus between cells before the cell it would truncate to; a coordinate
+# beyond int64 behind one equal to 1; an int64 coordinate off the grid.
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(1.5, 0), (1, 2)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 1), (np.True_, 2**63)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([CellIndex(1.0, 0), (-(2**63), 1)]))
+def test_cell_rule_is_one_for_watershed_mining_and_table(case, data):
+    # ODD_COORDS through the watershed, mining and the table: each refuses
+    # the first coordinate, in input order, that equals no int in int64
+    # (oracle_int64), or reads every cell as the ints it equals.
+    values, mask = case
+    field = make_field(values, mask=mask)
+    cells = data.draw(st.lists(focus_cells(mask.shape), min_size=1, max_size=6))
+    foci = [FocusPoint(cell, 0, 0.0) for cell in cells]
+    counts = dict.fromkeys(cells, 1)
+    runs = [
+        lambda: watershed_zones(field, foci, "maxima"),
+        lambda: mine_frequent_foci([foci], len(foci), 1),
+        lambda: FocusFrequencyTable(counts, len(foci), 1),
+    ]
+    refused = [v for cell in cells for v in cell if oracle_int64(v) is None]
+    if refused:
+        named = re.escape(f" must equal an integer within int64, got {refused[0]!r}") + "$"
+        for run in runs:
+            with pytest.raises(ParameterError, match=named):
+                run()
+        return
+    ints = [CellIndex(*map(oracle_int64, cell)) for cell in cells]
+    try:
+        anchors, _ = oracle_focus_seeds(field, foci)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            runs[0]()
+        assert str(got.value) == str(exc)
+    else:
+        assert dict(runs[0]().anchors) == anchors == dict(enumerate(ints))
+    mined, table = runs[1]().counts, runs[2]().counts
+    assert list(mined.items()) == list(Counter(ints).items())
+    assert list(table) == list(dict.fromkeys(ints))
+    for got in (mined, table):
+        assert {type(v) for cell in got for v in cell} == {int}
 
 
 @given(stack=tie_heavy_stacks(max_years=3), orientation=orientations, data=st.data())
