@@ -328,7 +328,8 @@ class ZoneMap:
     anchor table maps each label to the cell that seeded it; watershed maps
     guarantee that each anchor carries its own label, consensus maps record a
     representative member per core.  A :class:`CellTable` is kept as given;
-    any other mapping is copied into a dict of ``CellIndex`` values.
+    any other mapping is copied into a dict of ``CellIndex`` values, its
+    labels read by :func:`as_integer`; an anchor that is no pair raises.
     """
 
     geometry: GridGeometry
@@ -346,10 +347,13 @@ class ZoneMap:
         object.__setattr__(self, "labels", _freeze(arr))
         if isinstance(self.anchors, CellTable):
             return
-        anchors = {
-            int(k): v if type(v) is CellIndex else CellIndex(*v)
-            for k, v in dict(self.anchors).items()
-        }
+        anchors = {}
+        for k, v in dict(self.anchors).items():
+            label = as_integer("anchor label", k)
+            try:
+                anchors[label] = v if type(v) is CellIndex else CellIndex(*v)
+            except TypeError:
+                raise ParameterError(f"anchor {label} must be a (row, col) pair, got {v!r}") from None
         object.__setattr__(self, "anchors", anchors)
 
     def present_labels(self) -> list[int]:

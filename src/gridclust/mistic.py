@@ -21,9 +21,11 @@ The pipeline runs in five stages over a stack of annual fields:
    come from a window search over sorted flat cell keys and are closed by
    a numpy connected-components helper into groups named by their first cell;
 5. consensus: per-cell modal core assignment across all years.  Core
-   extents and consensus share one zone-to-core translation: the anchors of
-   a year's zones index a flat cell-to-core table, and only an anchor
-   outside every core takes the consensus's nearest-member search.
+   extents and consensus share one zone-to-core translation on int64
+   arrays: core members and zone anchors are read by the cell rule of the
+   foci, the anchors of a year's zones index a flat cell-to-core table, and
+   only an anchor outside every core (off the grid included) takes the
+   consensus's nearest-member search.
 
 Foci stay arrays from detection to consensus (:class:`Foci`); a
 :class:`FocusPoint` is built only when a caller reads one.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass, replace
-from functools import cache
 from itertools import chain, repeat
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -414,8 +415,12 @@ def _integral(name: str, v) -> int:
 
 def _int_cell(name: str, cell) -> CellIndex:
     """``cell`` as the :class:`CellIndex` of the ints its row and col equal
-    (:func:`_integral`); the cell rule of foci and of table keys."""
-    r, c = cell
+    (:func:`_integral`); the cell rule of foci, table keys, zone anchors and
+    core members.  A cell that is no pair raises, naming it."""
+    try:
+        r, c = cell
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a (row, col) pair, got {cell!r}") from None
     return CellIndex(_integral(f"{name} row", r), _integral(f"{name} col", c))
 
 
@@ -430,14 +435,27 @@ def _int_cells(cells: Collection) -> bool:
     )
 
 
+def _cell_arrays(name: str, cells: Sequence) -> np.ndarray:
+    """``cells`` as an (n, 2) int64 array of rows and cols, each cell read by
+    the cell rule (:func:`_int_cell`) unless all pass :func:`_int_cells`;
+    the first fault in input order raises."""
+    if not _int_cells(cells):
+        cells = [_int_cell(name, cell) for cell in cells]
+    return np.fromiter(chain.from_iterable(cells), np.int64, 2 * len(cells)).reshape(-1, 2)
+
+
 def _focus_cells(foci: Sequence[FocusPoint]) -> tuple[np.ndarray, np.ndarray]:
     """The rows and cols of the foci as int64 arrays: a :class:`Foci` gives
-    its own; any other sequence is read one focus at a time by the cell rule
-    (:func:`_int_cell`), and its first fault in input order raises."""
+    its own; any other sequence is read by :func:`_cell_arrays`."""
     if isinstance(foci, Foci):
         return foci.rows, foci.cols
-    cells = [_int_cell("focus", fp.cell) for fp in foci]
-    return tuple(np.array(cells, dtype=np.int64).reshape(-1, 2).T)
+    return tuple(_cell_arrays("focus", [fp.cell for fp in foci]).T)
+
+
+def _flat_cells(rows: np.ndarray, cols: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """The flat index of each cell ``(rows[i], cols[i])`` of the grid, -1 off it."""
+    inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
+    return np.where(inside, rows * geom.ncols + cols, -1)
 
 
 def _focus_seeds(
@@ -448,7 +466,7 @@ def _focus_seeds(
     Bounds, mask and repeats are checked on the whole arrays, and the first
     faulty focus in input order raises a ``ParameterError`` naming its cell.
     """
-    inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
+    inside = _flat_cells(rows, cols, geom) >= 0
     # Pad cell 0 is closed, so an off-grid focus never reads as open.
     seeds = np.where(inside, (rows + 1) * width + cols + 1, 0).astype(np.intp)
     is_open = valid[seeds]
@@ -615,76 +633,47 @@ def _shared_geometry(yearly_zones: Sequence[ZoneMap]) -> GridGeometry:
     return geom
 
 
-def _grid_codes(cells: Iterable[CellIndex], geom: GridGeometry) -> np.ndarray:
-    """The flat index of each cell that equals a cell of the grid, -1 for any
-    other; coordinates equal to ints count as those ints (1.0, True and
-    ``np.int64(1)`` all equal 1)."""
-    rows, cols = range(geom.nrows), range(geom.ncols)
-    codes = [r * geom.ncols + c if r in rows and c in cols else -1 for r, c in cells]
-    return np.array(codes, dtype=np.int64)
-
-
 def _core_table(
     groups: Sequence[Sequence[CellIndex]], ids: Iterable[int], geom: GridGeometry
-) -> tuple[np.ndarray, dict[CellIndex, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The core id of every (flat) grid cell that is a member of group
-    ``groups[i]`` (core ``ids[i]``), -1 for any other cell, and a dict of the
-    cores of members that are no grid cell.  A cell in several groups
-    belongs to the first."""
-    members = list(chain.from_iterable(groups))
+    ``groups[i]`` (core ``ids[i]``), -1 for any other cell, then the members
+    as (n, 2) int64 cells and their core ids.  Members are read by the cell
+    rule (:func:`_cell_arrays`); a cell in several groups belongs to the first.
+    """
+    members = _cell_arrays("core member", list(chain.from_iterable(groups)))
+    rows, cols = members.T
     owner = np.repeat(np.fromiter(ids, np.int64), [len(group) for group in groups])
-    codes = _grid_codes(members, geom)
-    on_grid = np.flatnonzero(codes >= 0)
-    cells, first = np.unique(codes[on_grid], return_index=True)
+    flat = _flat_cells(rows, cols, geom)
+    on_grid = np.flatnonzero(flat >= 0)
+    cells, first = np.unique(flat[on_grid], return_index=True)
     core_at = np.full(geom.ncells, -1, dtype=np.int64)
     core_at[cells] = owner[on_grid[first]]
-    odd: dict[CellIndex, int] = {}
-    for i in np.flatnonzero(codes < 0).tolist():
-        odd.setdefault(members[i], int(owner[i]))
-    return core_at, odd
+    return core_at, members, owner
 
 
-def _anchor_slots(zm: ZoneMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-negative anchor labels of ``zm``, ascending; the flat index of
-    each one's anchor (-1 if it is no grid cell); and the position of every
-    (flat) cell's label among them (-1 for an unlabeled cell or a label
-    without an anchor).
-
-    A :class:`CellTable` labels its anchors ``0..n-1``, so a label is its own
-    position.  Any other anchor table is sorted by label behind an entry for
-    label -1, and each cell finds its label by binary search: memory follows
-    the zones, not the largest label.
+def _cell_cores(zm: ZoneMap, core_at: np.ndarray, nearest: Callable[[CellIndex], int]) -> np.ndarray:
+    """The core id of every (flat) cell of ``zm``: ``core_at`` of its zone's
+    anchor (:func:`_core_table`), else ``nearest(anchor)``, which runs only
+    for anchors outside every core or the grid; -1 for an unlabeled cell or
+    a label without an anchor.  A :class:`CellTable` label is its anchor's
+    position; other anchors are read by :func:`_cell_arrays` in label order
+    and found by binary search, so memory follows the zones, not the labels.
     """
-    anchors, geom, flat = zm.anchors, zm.geometry, zm.labels.ravel()
+    anchors, flat = zm.anchors, zm.labels.ravel()
     if isinstance(anchors, CellTable):
-        rows, cols, n = anchors.rows, anchors.cols, len(anchors)
-        inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
-        return np.arange(n), np.where(inside, rows * geom.ncols + cols, -1), np.where(flat < n, flat, -1)
-    labels = np.array(sorted(label for label in anchors if label >= 0), dtype=np.int64)
-    codes = _grid_codes(map(anchors.__getitem__, labels.tolist()), geom)
-    keys = np.concatenate(([-1], labels))
-    slot = np.searchsorted(keys, flat, side="right") - 1
-    return labels, codes, np.where(keys[slot] == flat, slot - 1, -1)
-
-
-def _cell_cores(
-    zm: ZoneMap,
-    core_at: np.ndarray,
-    odd: Mapping[CellIndex, int],
-    nearest: Callable[[CellIndex], int],
-) -> np.ndarray:
-    """The core id of every (flat) cell of ``zm``: the core of its zone's
-    anchor (:func:`_core_table`), else ``nearest(anchor)``; -1 for an
-    unlabeled cell or a label without an anchor (:func:`_anchor_slots`).
-
-    Anchors that are grid cells index ``core_at`` as one array; any other
-    looks in ``odd``.  ``nearest`` runs only for anchors outside every core.
-    """
-    labels, codes, slots = _anchor_slots(zm)
-    ids = np.where(codes >= 0, core_at[codes], -1)
+        rows, cols = anchors.rows, anchors.cols
+        slots = np.where(flat < len(anchors), flat, -1)
+    else:
+        labels = sorted(label for label in anchors if label >= 0)
+        rows, cols = _cell_arrays("anchor", [anchors[label] for label in labels]).T
+        keys = np.array([-1, *labels], dtype=np.int64)
+        slot = np.searchsorted(keys, flat, side="right") - 1
+        slots = np.where(keys[slot] == flat, slot - 1, -1)
+    at = _flat_cells(rows, cols, zm.geometry)
+    ids = np.where(at >= 0, core_at[at], -1)
     for i in np.flatnonzero(ids < 0).tolist():
-        anchor = zm.anchors[labels[i]]
-        ids[i] = odd[anchor] if anchor in odd else nearest(anchor)
+        ids[i] = nearest(CellIndex(int(rows[i]), int(cols[i])))
     return np.append(ids, -1)[slots]  # slot -1 takes the appended -1
 
 
@@ -726,12 +715,12 @@ def build_cores(
     extents = [set(group) for group in groups]
     if yearly_zones:
         geom = _shared_geometry(yearly_zones)
-        core_at, odd = _core_table(groups, range(len(groups)), geom)
+        core_at = _core_table(groups, range(len(groups)), geom)[0]
         # zone_hit[i, cell]: some year's zone anchored on a member of core i
         # holds the (flat) cell.
         zone_hit = np.zeros((len(groups), geom.ncells), dtype=bool)
         for zm in yearly_zones:
-            core_ids = _cell_cores(zm, core_at, odd, lambda anchor: -1)
+            core_ids = _cell_cores(zm, core_at, lambda anchor: -1)
             hit = np.flatnonzero(core_ids >= 0)
             zone_hit[core_ids[hit], hit] = True
         for extent, row in zip(extents, zone_hit):
@@ -796,22 +785,18 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
     geom = _shared_geometry(yearly_zones)
     ncores, ncells = len(cores), geom.ncells
     groups = [core.member_cells for core in cores]
-    core_at, odd = _core_table(groups, (core.id for core in cores), geom)
-
-    @cache
-    def member_arrays() -> tuple[np.ndarray, np.ndarray]:
-        members = np.array([cell for core in cores for cell in core.member_cells]).reshape(-1, 2)
-        return members, np.array([core.id for core in cores for _ in core.member_cells])
+    core_at, members, member_ids = _core_table(groups, (core.id for core in cores), geom)
 
     def nearest(anchor: CellIndex) -> int:
-        # The core with the Chebyshev-nearest member, ties to the smaller id.
-        members, member_ids = member_arrays()
-        dist = np.abs(members - anchor).max(axis=1)
+        # The core with the Chebyshev-nearest member, ties to the smaller id;
+        # larger minus smaller as uint64 is exact over all of int64.
+        lo, hi = np.minimum(members, anchor), np.maximum(members, anchor)
+        dist = (hi.view(np.uint64) - lo.view(np.uint64)).max(axis=1)
         return member_ids[np.lexsort((member_ids, dist))[0]]
 
     codes = []
     for zm in yearly_zones:
-        translated = _cell_cores(zm, core_at, odd, nearest)
+        translated = _cell_cores(zm, core_at, nearest)
         # Only ids 0..ncores-1 vote; unlabeled cells (-1) and other ids do not.
         voted = np.flatnonzero((translated >= 0) & (translated < ncores))
         codes.append(translated[voted] * ncells + voted)

@@ -47,6 +47,7 @@ MINING = ("tests/test_mistic_oracles.py", "-k", "counter")
 ZONE_TO_CORE = ("tests/test_mistic_oracles.py", "-k", "zone_to_core")
 CELL_RULE = ("tests/test_mistic_oracles.py", "-k", "cell_rule")
 FOCI = ("tests/test_mistic.py", "-k", "TestFoci")
+ZONE_MAP = ("tests/test_gridcore.py", "-k", "TestZoneMap")
 
 MISTIC = "gridclust/mistic.py"
 KMEANS_PY = "gridclust/kmeans.py"
@@ -72,7 +73,8 @@ MUTANTS = [
     Mutant("a component spanning every valid cell emits a focus", MISTIC,
            "~blocked & (size < total_valid)]",
            "~blocked]", DETECTION),
-    # Foci as arrays: the watershed's checks, mining and the zone-to-core table.
+    # Foci as arrays: the watershed's checks, mining and the zone-to-core
+    # translation on int64 arrays.
     Mutant("the watershed fault is taken from the last faulty focus", MISTIC,
            "        i = int(fault.argmax())\n",
            "        i = fault.size - 1 - int(fault[::-1].argmax())\n", FOCUS_ARRAYS),
@@ -86,9 +88,19 @@ MUTANTS = [
            "    core_at = np.full(geom.ncells, -1, dtype=np.int64)\n",
            "    core_at = np.zeros(geom.ncells, dtype=np.int64)\n", ZONE_TO_CORE),
     Mutant("a CellTable label past its anchors reads as an anchored zone", MISTIC,
-           "np.where(flat < n, flat, -1)",
-           "np.minimum(flat, n - 1)", ZONE_TO_CORE),
-    # One cell rule for focus lists and table keys: an int within int64.
+           "np.where(flat < len(anchors), flat, -1)",
+           "np.minimum(flat, len(anchors) - 1)", ZONE_TO_CORE),
+    Mutant("the bounds rule takes an off-grid anchor or member as a grid cell", MISTIC,
+           "    return np.where(inside, rows * geom.ncols + cols, -1)\n",
+           "    return rows * geom.ncols + cols\n", ZONE_TO_CORE),
+    Mutant("the cell reader's fast path takes a float cell", MISTIC,
+           "    return set(map(type, coords)) <= {int} and (\n",
+           "    return set(map(type, coords)) <= {int, float} and (\n", ZONE_TO_CORE),
+    Mutant("the nearest-member distance wraps in int64", MISTIC,
+           "dist = (hi.view(np.uint64) - lo.view(np.uint64)).max(axis=1)",
+           "dist = (hi - lo).max(axis=1)", ZONE_TO_CORE),
+    # One cell rule for focus lists, table keys, anchors and core members:
+    # an int within int64.
     Mutant("the cell rule takes 1.5 as 1", MISTIC,
            "    if i is None or i != v or not -2**63 <= i < 2**63:\n",
            "    if i is None or not -2**63 <= i < 2**63:\n", CELL_RULE),
@@ -101,6 +113,12 @@ MUTANTS = [
     Mutant("table counts are kept as given", MISTIC,
            "    if not set(map(type, counts.values())) <= {int}:\n",
            "    if False:\n", CELL_RULE),
+    Mutant("a cell of one or three coordinates ends in a bare ValueError", MISTIC,
+           "    except (TypeError, ValueError):\n",
+           "    except TypeError:\n", CELL_RULE),
+    Mutant("zone-map anchor labels are truncated by int()", "gridclust/gridcore.py",
+           '            label = as_integer("anchor label", k)\n',
+           "            label = int(k)\n", ZONE_MAP),
     Mutant("Foci shares the arrays it is given", "gridclust/gridcore.py",
            "    out = arr.astype(dtype)\n",
            "    out = arr.astype(dtype, copy=False)\n", FOCI),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,3 +232,20 @@ class TestZoneMap:
     def test_rejects_bad_labels(self):
         with pytest.raises(ParameterError):
             ZoneMap(planar_geom(1, 2), np.array([[-2, 0]]))
+
+    @pytest.mark.parametrize("label", [1.5, "0", None])
+    def test_rejects_anchor_labels_that_are_no_integer(self, label):
+        # int() would read 1.5 as 1 and "0" as 0.
+        with pytest.raises(ParameterError, match=f"^anchor label must be an integer, got {label!r}$"):
+            ZoneMap(planar_geom(1, 3), [[1, 1, 1]], {label: CellIndex(0, 0)})
+
+    def test_reads_anchor_labels_as_ints(self):
+        zm = ZoneMap(planar_geom(1, 3), [[1, 2, 2]], {np.int64(1): (0, 0), np.int8(2): CellIndex(0, 1)})
+        assert zm.anchors == {1: CellIndex(0, 0), 2: CellIndex(0, 1)}
+        assert {(type(k), type(v)) for k, v in zm.anchors.items()} == {(int, CellIndex)}
+
+    @pytest.mark.parametrize("anchor", [(0, 1, 2), (0,), None])
+    def test_rejects_anchors_that_are_no_pair(self, anchor):
+        named = re.escape(f"anchor 1 must be a (row, col) pair, got {anchor!r}") + "$"
+        with pytest.raises(ParameterError, match=named):
+            ZoneMap(planar_geom(1, 3), [[1, 1, 1]], {0: CellIndex(0, 0), 1: anchor})

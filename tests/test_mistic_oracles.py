@@ -16,9 +16,11 @@ has its loop versions too: the cell rule, one coordinate at a time
 focus at a time after it (``oracle_focus_seeds``), recurrence counts in a dict
 (``oracle_mine_frequent_foci``) and in one ``Counter``
 (``oracle_counter_mine_frequent_foci``), and zone-to-core translation through
-one ``core_of`` call per anchor, a member-to-core dict lookup
-(``oracle_cell_cores`` with ``oracle_member_cores``).  The library must
-reproduce them exactly on every input.
+one ``core_of`` call per anchor, a member-to-core dict lookup and a
+nearest-member search in Python ints, every anchor and member read by the
+cell rule (``oracle_cell_cores`` with ``oracle_member_cores`` and
+``oracle_consensus_core_of``).  The library must reproduce them exactly on
+every input.
 """
 
 import heapq
@@ -61,7 +63,7 @@ from gridclust.mistic import (
     watershed_zones,
 )
 
-from conftest import make_field
+from conftest import make_field, planar_geom
 
 
 def chebyshev(a, b):
@@ -99,18 +101,26 @@ def oracle_int64(v):
     return i if i == v and -(2**63) <= i <= 2**63 - 1 else None
 
 
+def oracle_cell(name, cell):
+    """``cell`` as a ``CellIndex`` of ints by the cell rule: raises for a
+    cell that is no pair, then for its first coordinate that equals no int
+    in int64, naming it."""
+    try:
+        parts = tuple(cell)
+    except TypeError:
+        parts = ()
+    if len(parts) != 2:
+        raise ParameterError(f"{name} must be a (row, col) pair, got {cell!r}")
+    for part, v in zip(("row", "col"), parts):
+        if oracle_int64(v) is None:
+            raise ParameterError(f"{name} {part} must equal an integer within int64, got {v!r}")
+    return CellIndex(*map(oracle_int64, parts))
+
+
 def oracle_focus_cells(foci):
-    """Each focus's cell as a ``CellIndex`` of ints, every focus converted
-    before any is checked; raises for the first coordinate, in input order,
-    that equals no int in int64."""
-    cells = []
-    for fp in foci:
-        r, c = fp.cell
-        for name, v in (("row", r), ("col", c)):
-            if oracle_int64(v) is None:
-                raise ParameterError(f"focus {name} must equal an integer within int64, got {v!r}")
-        cells.append(CellIndex(oracle_int64(r), oracle_int64(c)))
-    return cells
+    """Each focus's cell by the cell rule (``oracle_cell``), every focus
+    converted before any is checked, so the first fault in input order raises."""
+    return [oracle_cell("focus", fp.cell) for fp in foci]
 
 
 def oracle_focus_seeds(field, foci):
@@ -151,36 +161,41 @@ def table_cell_cores(zm, cores, nearest):
     """The library's translation of ``zm`` to the ids of ``cores`` through
     their flat cell-to-core table, ``nearest`` for anchors outside them."""
     groups = [core.member_cells for core in cores]
-    core_at, odd = _core_table(groups, [core.id for core in cores], zm.geometry)
-    return _cell_cores(zm, core_at, odd, nearest)
+    core_at = _core_table(groups, [core.id for core in cores], zm.geometry)[0]
+    return _cell_cores(zm, core_at, nearest)
 
 
-def oracle_member_cores(cores):
-    """Each member cell's core, the first listed for a cell of several."""
+def oracle_member_cores(cores, geom):
+    """Each member's cell of ``geom``, read by the cell rule, to its core,
+    the first listed for a cell of several; a member off the grid is left out."""
     member_to_core = {}
     for core in cores:
         for cell in core.member_cells:
-            member_to_core.setdefault(cell, core.id)
+            cell = oracle_cell("core member", cell)
+            if geom.contains(*cell):
+                member_to_core.setdefault(cell, core.id)
     return member_to_core
 
 
 def oracle_nearest_core(cores):
-    """The core with the Chebyshev-nearest member, ties to the smaller id."""
-    members = np.array([cell for core in cores for cell in core.member_cells]).reshape(-1, 2)
-    member_ids = np.array([core.id for core in cores for _ in core.member_cells])
-
-    def nearest(anchor):
-        dist = np.abs(members - anchor).max(axis=1)
-        return member_ids[np.lexsort((member_ids, dist))[0]]
-
-    return nearest
+    """The core with the Chebyshev-nearest member, ties to the smaller id, in
+    Python ints; members are read by the cell rule."""
+    members = [(oracle_cell("core member", cell), core.id)
+               for core in cores for cell in core.member_cells]
+    return lambda anchor: min((chebyshev(anchor, cell), cid) for cell, cid in members)[1]
 
 
-def oracle_consensus_core_of(cores):
-    """The per-anchor lookup of the consensus: the core holding the anchor,
-    else the core with the Chebyshev-nearest member."""
-    member_to_core, nearest = oracle_member_cores(cores), oracle_nearest_core(cores)
-    return lambda anchor: member_to_core[anchor] if anchor in member_to_core else nearest(anchor)
+def oracle_consensus_core_of(cores, geom):
+    """The per-anchor lookup of the consensus: the anchor is read by the cell
+    rule, then takes the core holding it on the grid, else the core with the
+    Chebyshev-nearest member."""
+    member_to_core, nearest = oracle_member_cores(cores, geom), oracle_nearest_core(cores)
+
+    def core_of(anchor):
+        anchor = oracle_cell("anchor", anchor)
+        return member_to_core[anchor] if anchor in member_to_core else nearest(anchor)
+
+    return core_of
 
 
 def oracle_group_cells(cells, max_dist):
@@ -810,8 +825,8 @@ MASK_3X3 = np.array([[True, True, True], [True, False, True], [True, True, True]
 
 @given(case=tie_heavy_fields(), data=st.data())
 # A float, a bool, a digit string, a numpy int and a coordinate beyond int64;
-# then a duplicate focus, a focus on the masked centre, and cells of three and
-# one coordinates.
+# then a duplicate focus, a focus on the masked centre, cells of three and
+# one coordinates, and a cell that is None.
 @example(case=(GRID_3X3, MASK_3X3), data=Drawn([(1.5, 0)]))
 @example(case=(GRID_3X3, MASK_3X3), data=Drawn([CellIndex(0, 0), (True, 0)]))
 @example(case=(GRID_3X3, MASK_3X3), data=Drawn([("1", 0)]))
@@ -820,6 +835,7 @@ MASK_3X3 = np.array([[True, True, True], [True, False, True], [True, True, True]
 @example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 1), (2, 0), CellIndex(0, 1)]))
 @example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 0), (1, 1)]))
 @example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 1, 2), (0,)]))
+@example(case=(GRID_3X3, MASK_3X3), data=Drawn([(0, 0), None]))
 def test_focus_cells_match_the_per_focus_checks(case, data):
     values, mask = case
     field = make_field(values, mask=mask)
@@ -863,8 +879,9 @@ def test_bookkeeping_matches_the_per_focus_loops(stack, orientation, mode, radiu
     cores = build_cores(table, mode, radius, yearly_zones)
     assert cores == oracle_build_cores(table, mode, radius, yearly_zones)
     for used in ([cores] if cores else []) + [data.draw(foreign_cores(mask.shape))]:
-        member_to_core = oracle_member_cores(used)
-        lookups = [(oracle_nearest_core(used), oracle_consensus_core_of(used))]
+        geom = planar_geom(*mask.shape)
+        member_to_core = oracle_member_cores(used, geom)
+        lookups = [(oracle_nearest_core(used), oracle_consensus_core_of(used, geom))]
         if used is cores:
             lookups.append((lambda a: -1, lambda a: member_to_core.get(a, -1)))
         for zm in yearly_zones:
@@ -878,9 +895,9 @@ def test_bookkeeping_matches_the_per_focus_loops(stack, orientation, mode, radiu
 
 def numeric_cells(shape):
     """Cells on and off a grid of ``shape`` whose coordinates are Python ints
-    or other numbers equal to one (1.0, True, ``np.int64(1)``), or 1.5, or
-    beyond int64."""
-    odd = st.sampled_from([1.5, 1.0, True, np.int64(1), 2**70])
+    or other numbers equal to one (1.0, True, ``np.int64(1)``), the ends of
+    int64, or 1.5, or beyond int64."""
+    odd = st.sampled_from([1.5, 1.0, True, np.int64(1), 2**70, -(2**63), 2**63 - 1])
     coord = st.one_of(st.integers(-1, max(shape)), odd)
     cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
     return st.one_of(cells, cells, st.tuples(coord, coord)).map(lambda c: CellIndex(*c))
@@ -895,15 +912,17 @@ def outcome(fn):
 
 
 def per_anchor_translation(zm, cores):
-    return oracle_cell_cores(zm, oracle_consensus_core_of(cores))
+    return oracle_cell_cores(zm, oracle_consensus_core_of(cores, zm.geometry))
 
 
 @settings(max_examples=60)
 @given(stack=tie_heavy_stacks(max_years=3), orientation=orientations, data=st.data())
 def test_zone_to_core_lookup_with_odd_cells_matches_per_anchor_calls(stack, orientation, data):
-    # Anchors and members equal to a cell of Python ints (1.0, True,
-    # np.int64(1)) match it, others (1.5, off the grid) take the nearest
-    # member, and the nearest-member search raises beyond int64, in both.
+    # Anchors and members are read by the cell rule (oracle_int64): a
+    # coordinate equal to an int within int64 (1.0, True, np.int64(1), the
+    # ends of int64) counts as that int, any other (1.5, 2**70) raises,
+    # members before anchors.  An anchor outside every core or off the grid
+    # takes the nearest member, in Python ints for the oracle.
     values, mask = stack
     if not mask.any():
         return
@@ -926,7 +945,7 @@ def test_zone_to_core_lookup_with_odd_cells_matches_per_anchor_calls(stack, orie
     for zm in yearly_zones:
         assert outcome(
             lambda: table_cell_cores(zm, cores, oracle_nearest_core(cores))
-        ) == outcome(lambda: oracle_cell_cores(zm, oracle_consensus_core_of(cores)))
+        ) == outcome(lambda: oracle_cell_cores(zm, oracle_consensus_core_of(cores, zm.geometry)))
     assert outcome(lambda: consensus_zone_map(yearly_zones, cores).labels) == outcome(
         lambda: oracle_consensus_labels(yearly_zones, cores, per_anchor_translation)
     )
@@ -1117,13 +1136,94 @@ def test_zone_to_core_table_matches_the_dict(stack, orientation, data):
             for labels in (zm.labels, stray)
         ]
         cores = data.draw(foreign_cores(mask.shape))
-        member_to_core = oracle_member_cores(cores)
+        member_to_core = oracle_member_cores(cores, zm.geometry)
         lookups = [
             (lambda a: -1, lambda a: member_to_core.get(a, -1)),
-            (oracle_nearest_core(cores), oracle_consensus_core_of(cores)),
+            (oracle_nearest_core(cores), oracle_consensus_core_of(cores, zm.geometry)),
         ]
         for nearest, core_of in lookups:
             for as_table, as_dict in maps:
                 expected = oracle_cell_cores(as_dict, core_of)
                 for anchored in (as_table, as_dict):
                     assert np.array_equal(table_cell_cores(anchored, cores, nearest), expected)
+
+
+def member_core(cid, *cells):
+    return Core(cid, cells, (1,) * len(cells), 1, "cc", None, None, frozenset())
+
+
+def test_zone_to_core_refuses_an_anchor_between_cells():
+    # Read as a float, (1.5, 0) would be no grid cell and take the nearest
+    # member; it is refused, in core extents as in the consensus.
+    zm = ZoneMap(planar_geom(1, 3), [[0, 0, 0]], {0: CellIndex(1.5, 0)})
+    named = r"^anchor row must equal an integer within int64, got 1\.5$"
+    with pytest.raises(ParameterError, match=named):
+        build_cores(FocusFrequencyTable({CellIndex(0, 0): 1}, 1, 1), "cc", 1, [zm])
+    with pytest.raises(ParameterError, match=named):
+        consensus_zone_map([zm], [member_core(0, CellIndex(0, 0))])
+
+
+@pytest.mark.parametrize(
+    "member, named",
+    [
+        (CellIndex(1.5, 0), r"^core member row must equal an integer within int64, got 1\.5$"),
+        (CellIndex(0, 2**63), r"^core member col must equal an integer within int64, got 9223"),
+        ((0, 1, 2), r"^core member must be a \(row, col\) pair, got \(0, 1, 2\)$"),
+    ],
+    ids=["between_cells", "past_int64", "three_coordinates"],
+)
+def test_zone_to_core_refuses_a_member_that_is_no_cell(member, named):
+    zm = ZoneMap(planar_geom(1, 3), [[0, 0, 0]], {0: CellIndex(0, 0)})
+    cores = [member_core(0, CellIndex(0, 0)), member_core(1, member)]
+    with pytest.raises(ParameterError, match=named):
+        consensus_zone_map([zm], cores)
+
+
+def test_zone_to_core_off_grid_anchor_takes_the_nearest_member():
+    # (0, 5) is off the 1x3 grid and a member of cores 1 and 0, listed in
+    # that order: the consensus takes the nearest member, tied at distance 0
+    # to the smaller id, and a core extent takes no zone anchored off the grid.
+    geom = planar_geom(1, 3)
+    zm = ZoneMap(geom, [[0, 0, 0]], {0: CellIndex(0, 5)})
+    cores = [member_core(1, CellIndex(0, 5)), member_core(0, CellIndex(0, 0), CellIndex(0, 5))]
+    assert consensus_zone_map([zm], cores).labels.tolist() == [[0, 0, 0]]
+    zm = ZoneMap(geom, [[0, 0, 1]], {0: CellIndex(0, 0), 1: CellIndex(0, 5)})
+    table = FocusFrequencyTable({CellIndex(0, 0): 1, CellIndex(0, 5): 1}, 1, 1)
+    cores = build_cores(table, "cc", 1, [zm])
+    assert [sorted(core.extent) for core in cores] == [[(0, 0), (0, 1)], [(0, 5)]]
+
+
+@pytest.mark.parametrize(
+    "anchor, far, near",
+    [
+        ((3 * 2**61, 0), (-(2**63), 0), (0, 0)),
+        ((2**63 - 1, 2**63 - 1), (-(2**63), -(2**63)), (2**62, 2**62)),
+    ],
+    ids=["wraps_past_int64_max", "spans_all_of_int64"],
+)
+def test_zone_to_core_nearest_member_is_exact_over_int64(anchor, far, near):
+    # A difference in int64 wraps: 3 * 2**61 - -(2**63) reads as -(2**61),
+    # nearer than the true nearest member at 3 * 2**61.
+    zm = ZoneMap(planar_geom(1, 3), [[0, 0, 0]], {0: CellIndex(*anchor)})
+    cores = [member_core(0, CellIndex(*far)), member_core(1, CellIndex(*near))]
+    assert consensus_zone_map([zm], cores).labels.tolist() == [[1, 1, 1]]
+    nearest = oracle_nearest_core(cores)
+    assert nearest(anchor) == 1
+
+
+@pytest.mark.parametrize("cell", [(0, 1, 2), (0,), None], ids=["three", "one", "none"])
+def test_cell_rule_refuses_cells_that_are_no_pair(cell):
+    # Each reader names the cell instead of Python's bare unpacking error.
+    named = re.escape(f" must be a (row, col) pair, got {cell!r}") + "$"
+    geom = planar_geom(3, 3)
+    runs = [
+        lambda: watershed_zones(make_field(GRID_3X3), [FocusPoint(cell, 0, 0.0)], "maxima"),
+        lambda: mine_frequent_foci([[FocusPoint((0, 0), 0, 0.0), FocusPoint(cell, 0, 0.0)]], 1, 1),
+        lambda: FocusFrequencyTable({CellIndex(0, 0): 1, cell: 1}, 1, 1),
+        lambda: ZoneMap(geom, np.zeros((3, 3)), {0: cell}),
+        lambda: consensus_zone_map([ZoneMap(geom, np.zeros((3, 3)), {0: CellIndex(0, 0)})],
+                                   [member_core(0, CellIndex(0, 0), cell)]),
+    ]
+    for run in runs:
+        with pytest.raises(ParameterError, match=named):
+            run()
