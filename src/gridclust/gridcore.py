@@ -329,7 +329,8 @@ class ZoneMap:
     guarantee that each anchor carries its own label, consensus maps record a
     representative member per core.  A :class:`CellTable` is kept as given;
     any other mapping is copied into a dict of ``CellIndex`` values, its
-    labels read by :func:`as_integer`; an anchor that is no pair raises.
+    labels read by :func:`as_integer`; a label outside the int32 range of
+    ``labels`` or an anchor that is no pair raises.
     """
 
     geometry: GridGeometry
@@ -350,6 +351,8 @@ class ZoneMap:
         anchors = {}
         for k, v in dict(self.anchors).items():
             label = as_integer("anchor label", k)
+            if not -(2**31) <= label < 2**31:
+                raise ParameterError(f"anchor label {label} is outside the int32 range of labels")
             try:
                 anchors[label] = v if type(v) is CellIndex else CellIndex(*v)
             except TypeError:

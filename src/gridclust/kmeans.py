@@ -9,14 +9,22 @@ iteration cap as a guard.
 The assignment step prunes with exact Hamerly bounds: a cell whose distance
 to its own centroid is, by a strict and rounding-safe margin, below a lower
 bound on its distance to every other centroid keeps its label without a
-distance row.  Every other cell gets a full row.  The first pass takes its
-rows from the k-means++ seeding, which computed each cell's distance to
-every center with the same kernel.  Centroids are per-cluster sums divided
-by counts, the two steps ``ndarray.mean`` runs.  Results therefore equal
-those of the unpruned loop bit for bit.
+distance row.  Every other cell is labelled as a full distance row would
+label it.  The first pass takes its rows from the k-means++ seeding, which
+computed each cell's distance to every center with the same kernel.  Later
+passes pick each cell's candidate centroid with one matrix product, the
+expansion ``|x|^2 - 2 x.c + |c|^2``: where the nearest and second-nearest
+expanded distances are further apart than twice a proven bound on their
+rounding error, the candidate is the exact nearest centroid, and the exact
+kernel gives its distance.  Near-ties take a full row of the exact kernel.
+Centroids are per-cluster sums divided by counts, the two steps
+``ndarray.mean`` runs.  Results therefore equal those of the unpruned loop
+bit for bit.
 
-All reductions run through numpy's fixed-order single-threaded paths, so
-results are bit-identical across runs and across caller thread counts.  A
+Every kept value comes from numpy's fixed-order single-threaded
+reductions.  The matrix product may run on BLAS threads and its bits may
+change with their number, but the bound holds for any summation order, so
+results are bit-identical across runs and across thread counts.  A
 large :func:`sweep_k` runs its restarts on forked worker processes, which
 take them one at a time from a shared queue; each run depends only on its
 seed, so the results are those of the serial loop.
@@ -181,6 +189,65 @@ def _own_sq_distances(
     return np.einsum("ij,ij->i", work, work)
 
 
+def _two_smallest(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's argmin (the lowest index on ties), its value and the
+    smallest value at any other index (inf with one column).  Overwrites
+    ``d``; a NaN in a row is its argmin or its second value."""
+    rows = np.arange(d.shape[0])
+    near = np.argmin(d, axis=1)
+    best = d[rows, near]
+    d[rows, near] = np.inf
+    return near, best, d.min(axis=1)
+
+
+def _nearest(
+    X: np.ndarray,
+    xx: np.ndarray,
+    centroids: np.ndarray,
+    labels: np.ndarray,
+    own: np.ndarray,
+    work: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid of each row of ``X``, as its full distance row gives it.
+
+    ``xx`` holds the rows' squared norms (``einsum("ij,ij->i", X, X)``),
+    ``labels`` their current centroids and ``own`` their squared distances
+    to them by :func:`_own_sq_distances`; ``work`` is scratch as for
+    :func:`_sq_distances`.  Returns each row's new label, its squared
+    distance to that centroid with the bits of the full row's entry, and a
+    lower bound on its distance to every other centroid.
+
+    One matrix product picks each row's candidate: the argmin ``best`` of
+    ``g = -2 C X^T + cc + xx`` over the centroids, and ``second``, the
+    smallest g at any other centroid.  A row takes the candidate when
+    ``second - best > 2 * err`` (see :func:`run_kmeans` for ``err``); a row
+    that moves to it gets its distance from the gather kernel, and its
+    bound is ``sqrt(max(second - err, 0))``.  Every other row takes its
+    :func:`_sq_distances` row.
+    """
+    cc = np.einsum("ij,ij->i", centroids, centroids)
+    g = centroids @ X.T  # (k, n), so the minima run over contiguous rows
+    g *= -2.0
+    g += cc[:, None]
+    g += xx
+    near, best, second = _two_smallest(g.T)
+    err = (X.shape[1] + 3) * 2.0**-53 * (4.5 * (xx + cc.max()) + 1.0)
+    sure = second - best > 2.0 * err
+    lower = np.sqrt(np.maximum(second - err, 0.0))
+    own = own.copy()
+    moved = np.flatnonzero(sure & (near != labels))
+    if moved.size:
+        own[moved] = _own_sq_distances(
+            X.take(moved, axis=0), centroids, near[moved], work[: moved.size]
+        )
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        dists = _sq_distances(X.take(unsure, axis=0), centroids, work)
+        near[unsure], own[unsure], second = _two_smallest(dists)
+        lower[unsure] = np.sqrt(second)
+    return near, own, lower
+
+
 def _centroids(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Mean of each cluster's rows (NaN for an empty cluster).
 
@@ -266,12 +333,13 @@ def run_kmeans(
     which computed each cell's distance to each center with the kernel of
     the later passes.  Each later pass computes the squared distance ``own``
     to the cell's current centroid exactly, and the cell keeps its label
-    when ``sqrt(own) + slack < lower``.  Every other cell gets its full
-    distance row.  A cell with a full row takes the row's argmin and resets
-    ``lower`` to the square root of the row's second-smallest entry.  After
-    the centroid update every ``lower`` drops by the largest centroid shift
-    plus ``slack`` (triangle inequality); cells moved by the empty-cluster
-    repair get ``lower = -inf`` and so a full row on the next pass.
+    when ``sqrt(own) + slack < lower``.  Every other cell takes the label
+    its full distance row gives: the row's argmin, with ``own`` the row's
+    entry there, and resets ``lower`` to at most the square root of the
+    row's second-smallest entry (:func:`_nearest`).  After the centroid
+    update every ``lower`` drops by the largest centroid shift plus
+    ``slack`` (triangle inequality); cells moved by the empty-cluster repair
+    get ``lower = -inf`` and so a new label on the next pass.
 
     Why the skipped rows would have given the same label: centroids are
     rows or means of rows of X, so every distance is at most 2R, R the
@@ -283,6 +351,42 @@ def run_kmeans(
     strictly: the full row's argmin would be the same label, with no tie to
     a lower id.  ``own``, and with it the inertia, is the same computed
     value as the full row's entry.  A NaN bound fails the test.
+
+    Why :func:`_nearest` gives the full row's label.  Let u = 2**-53 and
+    gamma_m = m u / (1 - m u).  An inner product of length p computed in
+    any summation order, with or without FMA, is off by at most gamma_p
+    times the inner product of the absolute values (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1).  For a row x and a
+    centroid c, let d = |x - c|^2, e the exact kernel's value and g the
+    expansion ``(-2 G + cc) + xx``, with G the matrix product's entry, and
+    S = (|x| + |c|)^2, which is at least d and at most 2 (|x|^2 + |c|^2):
+
+    - e sums the squares of p rounded differences, so each term of d
+      carries at most p + 2 roundings: |e - d| <= gamma_{p+2} d.
+    - xx, cc and G are off by at most gamma_p |x|^2, gamma_p |c|^2 and
+      gamma_p |x| |c| (Cauchy-Schwarz), doubling is exact and each of the
+      two additions rounds once, by at most u (1 + u)(1 + gamma_p) S:
+      |g - d| <= gamma_{p+2} S.
+
+    So |g - e| <= 2 gamma_{p+2} S <= 4 gamma_{p+2} (|x|^2 + |c|^2) for every
+    centroid of the row, and ``err = (p + 3) u (4.5 (xx + max cc) + 1)``
+    exceeds it: reading |x|^2 and |c|^2 from the computed ``xx`` and ``cc``
+    and rounding ``err`` itself cost factors 1 + O(p u), well inside 4.5 / 4,
+    and the 1 covers gradual underflow, at most 2**-1075 per product.  Let
+    ``best`` be the row's smallest g and ``second`` its smallest g at any
+    other centroid.  A rounded difference exceeds the float ``2 err`` only
+    if the exact one does, so when ``second - best > 2 err`` every other
+    centroid has e >= g - err >= second - err > best + err >= e of the
+    candidate: the full row's argmin is the candidate, with no tie to a
+    lower id.  A moved row's ``own`` comes from the gather kernel, the same
+    kernel row for row.  ``second - err`` is at most every other centroid's
+    e, and rounding and sqrt are monotone, so ``sqrt(max(second - err, 0))``
+    is at most the square root of the full row's second-smallest entry: a
+    valid ``lower`` that can only send more cells to assignment.  Where
+    4.5 (xx + max cc) overflows, ``err`` is infinite; elsewhere no
+    intermediate of g overflows.  A NaN centroid makes ``err`` NaN.  Either
+    way the test fails, as it does on every near-tie: those rows take their
+    :func:`_sq_distances` row.
 
     Centroids are each cluster's row sum divided by its row count, the two
     steps of ``ndarray.mean`` in the same order.  ``k``, ``seed`` and
@@ -304,32 +408,27 @@ def run_kmeans(
 
     rng = np.random.default_rng(seed)
     centroids, dists = _kmeanspp_init(X, k, rng)
-    radius = float(np.sqrt(np.einsum("ij,ij->i", X, X).max()))
+    xx = np.einsum("ij,ij->i", X, X)
+    radius = float(np.sqrt(xx.max()))
     slack = 1e-9 * (X.shape[1] + 1) * (1.0 + radius)
 
     prev_labels: np.ndarray | None = None
     history: list[float] = []
     converged_by = "max_iter"
-    labels = np.empty(n, dtype=np.int64)
-    own = np.empty(n)
-    lower = np.empty(n)
-    redo = np.arange(n)  # the first pass's rows are the seeding's distances
     work = np.empty_like(X)
     iterations = 0
+    # The first pass takes every row from the seeding's distances.
+    labels, own, second = _two_smallest(dists)
+    lower = np.sqrt(second)
 
     for iterations in range(1, max_iter + 1):
         if iterations > 1:
             own = _own_sq_distances(X, centroids, labels, work)
             redo = np.flatnonzero(~(np.sqrt(own) + slack < lower))
             if redo.size:
-                dists = _sq_distances(X.take(redo, axis=0), centroids, work)
-        if redo.size:
-            near = np.argmin(dists, axis=1)
-            rows = np.arange(redo.size)
-            labels[redo] = near
-            own[redo] = dists[rows, near]
-            dists[rows, near] = np.inf
-            lower[redo] = np.sqrt(dists.min(axis=1))
+                labels[redo], own[redo], lower[redo] = _nearest(
+                    X.take(redo, axis=0), xx[redo], centroids, labels[redo], own[redo], work
+                )
         inertia = float(own.sum())
 
         counts = np.bincount(labels, minlength=k)

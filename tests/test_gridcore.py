@@ -239,6 +239,18 @@ class TestZoneMap:
         with pytest.raises(ParameterError, match=f"^anchor label must be an integer, got {label!r}$"):
             ZoneMap(planar_geom(1, 3), [[1, 1, 1]], {label: CellIndex(0, 0)})
 
+    @pytest.mark.parametrize("label", [2**70, 2**31, -(2**31) - 1])
+    def test_rejects_anchor_labels_beyond_int32(self, label):
+        # Such a label can label no cell; 2**70 used to end in numpy's
+        # OverflowError in consensus_zone_map and build_cores.
+        named = f"^anchor label {label} is outside the int32 range of labels$"
+        with pytest.raises(ParameterError, match=named):
+            ZoneMap(planar_geom(1, 3), [[1, 1, 1]], {label: CellIndex(0, 1)})
+
+    def test_keeps_anchor_labels_at_the_int32_ends(self):
+        zm = ZoneMap(planar_geom(1, 3), [[1, 1, 1]], {2**31 - 1: (0, 0), -(2**31): (0, 1)})
+        assert zm.anchors == {2**31 - 1: CellIndex(0, 0), -(2**31): CellIndex(0, 1)}
+
     def test_reads_anchor_labels_as_ints(self):
         zm = ZoneMap(planar_geom(1, 3), [[1, 2, 2]], {np.int64(1): (0, 0), np.int8(2): CellIndex(0, 1)})
         assert zm.anchors == {1: CellIndex(0, 0), 2: CellIndex(0, 1)}

@@ -2,9 +2,12 @@ import functools
 import itertools
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,11 +172,14 @@ class TestRunKmeans:
         assert type(run.seed) is int
 
     def test_one_pass_computes_no_distance_rows(self, monkeypatch):
-        # The first pass takes every row from the k-means++ seeding.
-        calls, sq_distances = [], kmeans._sq_distances
-        monkeypatch.setattr(
-            kmeans, "_sq_distances", lambda *args: calls.append(1) or sq_distances(*args)
-        )
+        # The first pass takes every row from the k-means++ seeding; later
+        # passes label cells by the matrix-product filter or full rows.
+        calls = []
+        for name in ("_nearest", "_sq_distances"):
+            kernel = getattr(kmeans, name)
+            monkeypatch.setattr(
+                kmeans, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args)
+            )
         feats = FeatureMatrix.from_matrix(np.random.default_rng(6).normal(size=(40, 3)))
         run = run_kmeans(feats, 5, seed=2, max_iter=1)
         assert run.iterations == 1
@@ -414,6 +420,43 @@ class TestPooledSweep:
         pooled, serial = pooled_and_serial(self.FEATURES, [3, 4], restarts=2)
         assert pooled == serial
         assert pooled[0] is InternalError and "inertia increased" in pooled[1]
+
+
+def test_pooled_sweep_after_a_threaded_matrix_product():
+    # A BLAS thread pool started before forked_map forks must neither hang
+    # the workers' matrix products nor change a bit of the maps.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(kmeans.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import os\n"
+        "import numpy as np\n"
+        "from gridclust import kmeans\n"
+        "a = np.random.default_rng(0).normal(size=(800, 800))\n"
+        "a @ a\n"
+        "caller, run_kmeans = os.getpid(), kmeans.run_kmeans\n"
+        "def in_a_worker(*args, **kwargs):\n"
+        "    assert os.getpid() != caller\n"
+        "    return run_kmeans(*args, **kwargs)\n"
+        "X = np.random.default_rng(1).normal(size=(300, 12))\n"
+        "features = kmeans.FeatureMatrix.from_matrix(X)\n"
+        "kmeans._POOL_MIN_WORK, kmeans._usable_cpus = 0, lambda: 2\n"
+        "kmeans.run_kmeans = in_a_worker\n"
+        "pooled = kmeans.sweep_k(features, [2, 5, 8], seed=3, restarts=4)\n"
+        "kmeans._usable_cpus, kmeans.run_kmeans = (lambda: 1), run_kmeans\n"
+        "serial = kmeans.sweep_k(features, [2, 5, 8], seed=3, restarts=4)\n"
+        "def bits(m):\n"
+        "    return (m.labels.tobytes(), m.centroids.tobytes(), m.inertia,\n"
+        "            m.inertia_history, m.iterations, m.seed, m.converged_by)\n"
+        "print([bits(m) for m in pooled] == [bits(m) for m in serial])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def test_single_cpu_sweep_loads_no_process_pool():

@@ -6,8 +6,8 @@ distance matrix, and every centroid is the mean of ``X[labels == j]``.  The
 library must reproduce it exactly: the same labels, the same centroid and
 inertia bits, the same inertia history, iteration count and stopping
 reason, and the same error when a run fails.  The library's seeding
-distances and sum-then-divide centroids are also checked piece by piece
-against the earlier code.
+distances, sum-then-divide centroids and matrix-product assignment step are
+also checked piece by piece against the earlier code.
 """
 
 import warnings
@@ -18,12 +18,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gridclust import kmeans
 from gridclust.errors import GridClustError, InternalError
 from gridclust.kmeans import (
     ClusterMap,
     FeatureMatrix,
     _centroids,
     _kmeanspp_init,
+    _nearest,
     build_features,
     run_kmeans,
 )
@@ -37,6 +39,18 @@ def oracle_sq_distances(X, centroids):
         diff = X - centroids[j]
         out[:, j] = np.einsum("ij,ij->i", diff, diff)
     return out
+
+
+def oracle_assignment(X, centroids):
+    """The earlier assignment step on full distance rows: each row's argmin
+    (lowest id on ties), its entry, and the row's smallest entry at any
+    other centroid (inf with one centroid)."""
+    dists = oracle_sq_distances(X, centroids)
+    rows = np.arange(X.shape[0])
+    near = np.argmin(dists, axis=1)
+    own = dists[rows, near]
+    dists[rows, near] = np.inf
+    return near, own, dists.min(axis=1)
 
 
 def oracle_kmeanspp_init(X, k, rng):
@@ -315,3 +329,87 @@ def test_centroids_of_single_row_clusters_across_the_sort_key_switch(k):
     X = rng.normal(size=(3 * k, 2))
     labels = np.concatenate([rng.permutation(k), rng.integers(k, size=2 * k)])
     assert _centroids(X, labels, k).tobytes() == oracle_centroids(X, labels, k).tobytes()
+
+
+def assert_nearest_matches_oracle(X, centroids, labels):
+    """``_nearest`` on rows with the given current labels gives the labels
+    and own bits of the full rows, a lower bound no larger than the full
+    row's second distance, and a full row to every exact tie.  Returns the
+    number of rows it sent to the full-row kernel."""
+    own = oracle_sq_distances(X, centroids)[np.arange(X.shape[0]), labels]
+    xx = np.einsum("ij,ij->i", X, X)
+    rows, sq_distances = [], kmeans._sq_distances
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kmeans, "_sq_distances", lambda D, *a: rows.append(len(D)) or sq_distances(D, *a))
+        near, own, lower = _nearest(X, xx, centroids, labels, own, np.empty_like(X))
+    fallback = sum(rows)
+    want_near, want_own, want_second = oracle_assignment(X, centroids)
+    assert near.tolist() == want_near.tolist()
+    assert own.tobytes() == want_own.tobytes()
+    assert np.all(lower <= np.sqrt(want_second))
+    assert fallback >= np.count_nonzero(want_second == want_own)
+    return fallback
+
+
+@st.composite
+def assignment_steps(draw):
+    """Rows, centroids and current labels for one assignment step, rich in
+    near-ties: duplicate centroids, rows halfway between two centroids, and
+    rows far from the origin, where |x|^2 - 2 x.c + |c|^2 cancels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="rng"))
+    k, p, n = draw(st.integers(1, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    centroids = rng.integers(-4, 5, size=(k, p)).astype(float)
+    if draw(st.booleans()):
+        centroids = centroids[rng.integers(k, size=k)]
+    a, b = rng.integers(k, size=(2, n))
+    X = (centroids[a] + centroids[b]) / 2
+    if draw(st.booleans()):
+        X[rng.random(n) < 0.5] += rng.normal(size=p)
+    scale = draw(SCALES)
+    offset = draw(st.sampled_from([0.0, 0.0, 1e8, -1e8, 1e12]))
+    return X * scale + offset, centroids * scale + offset, rng.integers(k, size=n)
+
+
+@given(assignment_steps())
+def test_nearest_matches_the_full_rows(drawn):
+    assert_nearest_matches_oracle(*drawn)
+
+
+@pytest.mark.parametrize(
+    "X, centroids",
+    [
+        # Duplicate centroids: every row ties between 0 and 1.
+        ([[0.0], [1.0], [2.5]], [[1.0], [1.0], [9.0]]),
+        # Rows equidistant from two centroids.
+        (
+            [[0.5, 0.5], [0.5, -0.5], [2.0, 3.0]],
+            [[0.0, 0.0], [1.0, 1.0], [1.0, -1.0], [2.0, 2.0], [2.0, 4.0]],
+        ),
+        # Far from the origin the expansion cancels to within a few units.
+        (1e8 + np.array([[0.0], [1.0], [2.0], [4.0]]), 1e8 + np.array([[0.0], [3.0]])),
+    ],
+    ids=["duplicate_centroids", "equidistant_rows", "large_offset"],
+)
+def test_near_ties_take_the_full_row(X, centroids):
+    X, centroids = np.array(X, float), np.array(centroids, float)
+    for labels in (np.zeros(len(X), dtype=np.int64), np.full(len(X), len(centroids) - 1)):
+        assert assert_nearest_matches_oracle(X, centroids, labels) == len(X)
+
+
+@given(X=integer_matrices(), offset=st.sampled_from([1e8, -1e8]), data=st.data())
+def test_large_offset_matrices_match_the_unpruned_loop(X, offset, data):
+    features = FeatureMatrix.from_matrix(X + offset)
+    k = data.draw(st.integers(1, X.shape[0]), label="k")
+    assert_matches_oracle(features, k, seed=data.draw(st.integers(0, 2**16), label="seed"))
+
+
+def test_large_offset_runs_take_full_rows(monkeypatch):
+    rows, sq_distances = [], kmeans._sq_distances
+    monkeypatch.setattr(
+        kmeans, "_sq_distances", lambda D, *a: rows.append(len(D)) or sq_distances(D, *a)
+    )
+    values = np.random.default_rng(5).integers(-6, 7, size=(40, 2))
+    features = FeatureMatrix.from_matrix(1e8 + values)
+    for seed in range(3):
+        assert_matches_oracle(features, 4, seed=seed)
+    assert sum(rows) > 0
