@@ -50,6 +50,12 @@ _MAX_ITER = 300
 # bench/tests/test_bench.py counts the run_kmeans calls of a 7,680 sweep
 # in the calling process, so the gate moves with the next benchmark change.
 _POOL_MIN_WORK = 8192
+# The assignment step's matrix products each take at most this many
+# multiply-adds, half of OpenBLAS's 4 * 65,536 threshold for a threaded
+# GEMM.  Threaded products in forked sweep workers outnumber the CPUs: a
+# pooled sweep of three noisy 40x40 inputs took 0.82 s with the BLAS thread
+# count unset and 0.52 s with products kept below it (2-vCPU host).
+_GEMM_MAX_WORK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,8 @@ def _nearest(
     distance to that centroid with the bits of the full row's entry, and a
     lower bound on its distance to every other centroid.
 
-    One matrix product picks each row's candidate: the argmin ``best`` of
+    One matrix product, in row blocks of at most ``_GEMM_MAX_WORK``
+    multiply-adds, picks each row's candidate: the argmin ``best`` of
     ``g = -2 C X^T + cc + xx`` over the centroids, and ``second``, the
     smallest g at any other centroid.  A row takes the candidate when
     ``second - best > 2 * err`` (see :func:`run_kmeans` for ``err``); a row
@@ -226,12 +233,16 @@ def _nearest(
     :func:`_sq_distances` row.
     """
     cc = np.einsum("ij,ij->i", centroids, centroids)
-    g = centroids @ X.T  # (k, n), so the minima run over contiguous rows
+    k, p = centroids.shape
+    g = np.empty((k, X.shape[0]))  # (k, n), so the minima run over contiguous rows
+    step = max(1, _GEMM_MAX_WORK // max(1, k * p))
+    for start in range(0, X.shape[0], step):
+        np.matmul(centroids, X[start : start + step].T, out=g[:, start : start + step])
     g *= -2.0
     g += cc[:, None]
     g += xx
     near, best, second = _two_smallest(g.T)
-    err = (X.shape[1] + 3) * 2.0**-53 * (4.5 * (xx + cc.max()) + 1.0)
+    err = (p + 3) * 2.0**-53 * (4.5 * (xx + cc.max()) + 1.0)
     sure = second - best > 2.0 * err
     lower = np.sqrt(np.maximum(second - err, 0.0))
     own = own.copy()

@@ -154,7 +154,7 @@ MUTANTS = [
     # The matrix-product assignment keeps a candidate only beyond its
     # rounding bound, and near-ties take the full row.
     Mutant("the matrix-product filter has no rounding bound", KMEANS_PY,
-           "    err = (X.shape[1] + 3) * 2.0**-53 * (4.5 * (xx + cc.max()) + 1.0)\n",
+           "    err = (p + 3) * 2.0**-53 * (4.5 * (xx + cc.max()) + 1.0)\n",
            "    err = 0.0\n", KMEANS),
     Mutant("the matrix-product filter keeps every candidate", KMEANS_PY,
            "    sure = second - best > 2.0 * err\n",

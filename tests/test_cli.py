@@ -558,12 +558,13 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def fresh_python(code, *args, cwd=None):
-    env = dict(os.environ)
+def fresh_python(code, *args, cwd=None, unset=(), timeout=None):
+    env = {k: v for k, v in os.environ.items() if k not in unset}
     src = str(Path(gridclust.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, cwd=cwd
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, cwd=cwd, timeout=timeout,
     )
 
 

@@ -2,12 +2,9 @@ import functools
 import itertools
 import multiprocessing
 import os
-import subprocess
-import sys
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,11 +422,6 @@ class TestPooledSweep:
 def test_pooled_sweep_after_a_threaded_matrix_product():
     # A BLAS thread pool started before forked_map forks must neither hang
     # the workers' matrix products nor change a bit of the maps.
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(kmeans.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
-    )
     code = (
         "import os\n"
         "import numpy as np\n"
@@ -452,9 +444,8 @@ def test_pooled_sweep_after_a_threaded_matrix_product():
         "            m.inertia_history, m.iterations, m.seed, m.converged_by)\n"
         "print([bits(m) for m in pooled] == [bits(m) for m in serial])\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    blas_threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = fresh_python(code, unset=blas_threads, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
 

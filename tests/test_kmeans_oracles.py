@@ -331,7 +331,7 @@ def test_centroids_of_single_row_clusters_across_the_sort_key_switch(k):
     assert _centroids(X, labels, k).tobytes() == oracle_centroids(X, labels, k).tobytes()
 
 
-def assert_nearest_matches_oracle(X, centroids, labels):
+def assert_nearest_matches_oracle(X, centroids, labels, gemm_max_work=kmeans._GEMM_MAX_WORK):
     """``_nearest`` on rows with the given current labels gives the labels
     and own bits of the full rows, a lower bound no larger than the full
     row's second distance, and a full row to every exact tie.  Returns the
@@ -341,6 +341,7 @@ def assert_nearest_matches_oracle(X, centroids, labels):
     rows, sq_distances = [], kmeans._sq_distances
     with pytest.MonkeyPatch.context() as m:
         m.setattr(kmeans, "_sq_distances", lambda D, *a: rows.append(len(D)) or sq_distances(D, *a))
+        m.setattr(kmeans, "_GEMM_MAX_WORK", gemm_max_work)
         near, own, lower = _nearest(X, xx, centroids, labels, own, np.empty_like(X))
     fallback = sum(rows)
     want_near, want_own, want_second = oracle_assignment(X, centroids)
@@ -370,9 +371,10 @@ def assignment_steps(draw):
     return X * scale + offset, centroids * scale + offset, rng.integers(k, size=n)
 
 
-@given(assignment_steps())
-def test_nearest_matches_the_full_rows(drawn):
-    assert_nearest_matches_oracle(*drawn)
+@given(assignment_steps(), st.sampled_from([1, 40, kmeans._GEMM_MAX_WORK]))
+def test_nearest_matches_the_full_rows(drawn, gemm_max_work):
+    # A small product size splits the matrix product into row blocks.
+    assert_nearest_matches_oracle(*drawn, gemm_max_work=gemm_max_work)
 
 
 @pytest.mark.parametrize(
