@@ -17,14 +17,15 @@ The pipeline runs in five stages over a stack of annual fields:
    (row, col), with a frequent flag at ``count >= min_years``;
 4. cores: grouping of all observed focus cells, either by 8-connected
    contiguity (CC) or within a Chebyshev radius with transitive closure
-   (CR), classified by member recurrence into CHD / CLD / CND.  Close pairs
-   come from a window search over sorted flat cell keys and are closed by
-   a numpy connected-components helper into groups named by their first cell;
+   (CR), classified by member recurrence into CHD / CLD / CND.  The table's
+   cells stay one int64 array: a lexsort sorts them, a window search over
+   flat cell keys finds close pairs, a numpy connected-components helper
+   names each group by its first cell, and a lexsort on (-max count, first
+   cell) orders the cores;
 5. consensus: per-cell modal core assignment across all years.  Core
-   extents and consensus share one zone-to-core translation on int64
-   arrays: core members and zone anchors are read by the cell rule of the
-   foci, the anchors of a year's zones index a flat cell-to-core table, and
-   only an anchor outside every core (off the grid included) takes the
+   extents and consensus share one zone-to-core translation: the anchors of
+   a year's zones index a flat cell-to-core table of int64 member arrays,
+   and only an anchor outside every core (off the grid included) takes the
    consensus's nearest-member search.
 
 Foci stay arrays from detection to consensus (:class:`Foci`); a
@@ -38,8 +39,8 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, pairwise, repeat
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,9 +130,8 @@ class Foci(Sequence[FocusPoint]):
 class FocusFrequencyTable:
     """Recurrence counts of focus cells across years.
 
-    Keys are read by the cell rule of the foci (:func:`_int_cell`) and
-    counts as the ints they equal (:func:`_integral`), so a key or count
-    equal to no int within int64 raises; a table of :class:`CellIndex` keys
+    Keys are read by the cell rule (:func:`_int_cell`) and counts as the
+    ints they equal (:func:`_integral`); a table of :class:`CellIndex` keys
     of ints, as mining gives, is checked without rebuilding its keys.
     """
 
@@ -506,12 +506,11 @@ def watershed_zones(
     for any other seed set the full heap runs over every reachable cell.
     Unmasked cells unreachable from every focus stay unlabeled.
 
-    The focus cells are read first (:func:`_focus_cells`): a coordinate
-    that equals no int within int64 raises, naming it.  They are then
-    checked on whole arrays (:func:`_focus_seeds`), and the first focus in
-    input order that is off the grid, on a masked cell or on the cell of an
-    earlier focus raises a ``ParameterError`` that names it.  Zone ``i`` is
-    anchored on the cell of focus ``i``, in a :class:`CellTable`.
+    The focus cells are read by the cell rule (:func:`_focus_cells`), then
+    checked on whole arrays (:func:`_focus_seeds`): the first focus in input
+    order off the grid, on a masked cell or on an earlier focus's cell
+    raises a ``ParameterError`` that names it.  Zone ``i`` is anchored on
+    the cell of focus ``i``, in a :class:`CellTable`.
     """
     grid = _key_grid(field, orientation)
     if not foci:
@@ -552,9 +551,8 @@ def mine_frequent_foci(
 
     Every observed focus cell enters the table, in the order it is first
     seen, keyed by ints; a cell is flagged frequent iff its count reaches
-    ``min_years``.  Each year's cells are read by :func:`_focus_cells`, so a
-    coordinate counts as the int it equals and one that equals no int
-    within int64 raises; the cells are counted in one stable sort.
+    ``min_years``.  Each year's cells are read by the cell rule
+    (:func:`_focus_cells`) and counted in one stable sort.
     """
     arrays = [(np.zeros(0, np.int64),) * 2, *map(_focus_cells, yearly_foci)]
     rows, cols = (np.concatenate(coord) for coord in zip(*arrays))
@@ -610,22 +608,6 @@ def _close_pairs(cells: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray
     return order[heads], order[tails]
 
 
-def _group_cells(cells: list[CellIndex], max_dist: int) -> list[list[CellIndex]]:
-    """Transitive closure of 'within Chebyshev distance max_dist' over cells:
-    the pairs of :func:`_close_pairs` closed by :func:`_components`.
-
-    Groups are keyed by their root, the index of their first cell, and come
-    in its order; each keeps the order of ``cells``, so sorted input gives sorted groups.
-    """
-    rc = np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
-    heads, tails = _close_pairs(rc, max_dist)
-    component = _components(len(cells), heads, tails)
-    groups: dict[int, list[CellIndex]] = {}
-    for cell, k in zip(cells, component.tolist()):
-        groups.setdefault(k, []).append(cell)
-    return list(groups.values())
-
-
 def _shared_geometry(yearly_zones: Sequence[ZoneMap]) -> GridGeometry:
     geom = yearly_zones[0].geometry
     if any(zm.geometry.shape != geom.shape for zm in yearly_zones):
@@ -633,23 +615,16 @@ def _shared_geometry(yearly_zones: Sequence[ZoneMap]) -> GridGeometry:
     return geom
 
 
-def _core_table(
-    groups: Sequence[Sequence[CellIndex]], ids: Iterable[int], geom: GridGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The core id of every (flat) grid cell that is a member of group
-    ``groups[i]`` (core ``ids[i]``), -1 for any other cell, then the members
-    as (n, 2) int64 cells and their core ids.  Members are read by the cell
-    rule (:func:`_cell_arrays`); a cell in several groups belongs to the first.
-    """
-    members = _cell_arrays("core member", list(chain.from_iterable(groups)))
-    rows, cols = members.T
-    owner = np.repeat(np.fromiter(ids, np.int64), [len(group) for group in groups])
-    flat = _flat_cells(rows, cols, geom)
+def _core_table(members: np.ndarray, owner: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """The core id of every (flat) grid cell: ``owner[i]`` where the cell is
+    the int64 member cell ``members[i]``, -1 for any other cell; a cell
+    listed for several cores belongs to the first listed."""
+    flat = _flat_cells(members[:, 0], members[:, 1], geom)
     on_grid = np.flatnonzero(flat >= 0)
     cells, first = np.unique(flat[on_grid], return_index=True)
     core_at = np.full(geom.ncells, -1, dtype=np.int64)
     core_at[cells] = owner[on_grid[first]]
-    return core_at, members, owner
+    return core_at
 
 
 def _cell_cores(zm: ZoneMap, core_at: np.ndarray, nearest: Callable[[CellIndex], int]) -> np.ndarray:
@@ -697,28 +672,41 @@ def build_cores(
     CC joins 8-adjacent focus cells (connected components); CR joins any two
     foci within Chebyshev distance ``radius``, closed transitively.  Both
     find close pairs by a window search over sorted flat cell keys
-    (:func:`_close_pairs`) and close them with :func:`_components`.  A core's
-    extent is the union over years of the cells of every zone whose anchor is
-    one of its members.  Ids are assigned by decreasing maximum member
-    frequency, ties by smallest member cell.  Dominance is left unset; see
-    :func:`classify_core`.
+    (:func:`_close_pairs`), exact for int32 cells, so the first table key
+    beyond int32 raises.  A core's extent is the union over years of the
+    cells of every zone whose anchor is one of its members.  Ids are
+    assigned by decreasing maximum member frequency, ties by smallest member
+    cell.  Dominance is left unset; see :func:`classify_core`.
     """
     radius = _check_grouping(mode, radius)
-    cells = sorted(table.counts)
-    if not cells:
+    n = len(table.counts)
+    if not n:
         return []
-    max_dist = 1 if mode == MODE_CC else radius
-    groups = sorted(
-        _group_cells(cells, max_dist),
-        key=lambda group: (-max(table.counts[c] for c in group), group[0]),
-    )
-    extents = [set(group) for group in groups]
+    # The table's keys are CellIndex of ints within int64 (its constructor).
+    cells = np.fromiter(chain.from_iterable(table.counts), np.int64, 2 * n).reshape(-1, 2)
+    counts = np.fromiter(table.counts.values(), np.int64, n)
+    beyond = ((cells < -2**31) | (cells >= 2**31)).any(axis=1)
+    if beyond.any():
+        cell = CellIndex(*cells[beyond.argmax()].tolist())
+        raise ParameterError(f"core grouping takes cells within int32, got table key {cell}")
+    by_cell = np.lexsort((cells[:, 1], cells[:, 0]))
+    cells, counts = cells[by_cell], counts[by_cell]
+    root = _components(n, *_close_pairs(cells, 1 if mode == MODE_CC else radius))
+    top = np.zeros(n, dtype=np.int64)
+    np.maximum.at(top, root, counts)
+    # Members by core, each core's in cell order: cores by decreasing maximum
+    # count, ties by root, the core's first cell.
+    by_core = np.lexsort((root, -top[root]))
+    members, counts, root = cells[by_core], counts[by_core], root[by_core]
+    owner = np.cumsum(np.r_[True, root[1:] != root[:-1]]) - 1
+    spans = list(pairwise(np.searchsorted(owner, np.arange(owner[-1] + 2)).tolist()))
+    member_cells, counts = list(map(CellIndex, *members.T.tolist())), counts.tolist()
+    extents = [set(member_cells[s:e]) for s, e in spans]
     if yearly_zones:
         geom = _shared_geometry(yearly_zones)
-        core_at = _core_table(groups, range(len(groups)), geom)[0]
-        # zone_hit[i, cell]: some year's zone anchored on a member of core i
-        # holds the (flat) cell.
-        zone_hit = np.zeros((len(groups), geom.ncells), dtype=bool)
+        core_at = _core_table(members, owner, geom)
+        # zone_hit[i, cell]: a year's zone anchored on a member of core i holds the cell.
+        zone_hit = np.zeros((len(spans), geom.ncells), dtype=bool)
         for zm in yearly_zones:
             core_ids = _cell_cores(zm, core_at, lambda anchor: -1)
             hit = np.flatnonzero(core_ids >= 0)
@@ -730,15 +718,15 @@ def build_cores(
     return [
         Core(
             id=i,
-            member_cells=tuple(group),
-            member_counts=tuple(table.counts[c] for c in group),
+            member_cells=tuple(member_cells[s:e]),
+            member_counts=tuple(counts[s:e]),
             total_years=table.total_years,
             mode=mode,
             radius=radius if mode == MODE_CR else None,
             dominance=None,
             extent=frozenset(extent),
         )
-        for i, (group, extent) in enumerate(zip(groups, extents))
+        for i, ((s, e), extent) in enumerate(zip(spans, extents))
     ]
 
 
@@ -759,11 +747,17 @@ def classify_core(
     """Dominance class from member recurrence frequencies.
 
     CHD when any member reaches ``theta_high``; else CLD when any member
-    reaches ``theta_dom``; else CND.
+    reaches ``theta_dom``; else CND.  A core without members or with one
+    missing from ``table`` raises.
     """
     _check_thresholds(theta_high, theta_dom)
-    freqs = [table.counts[c] / table.total_years for c in core.member_cells]
-    top = max(freqs)
+    counts = list(map(table.counts.get, core.member_cells))
+    if not counts:
+        raise ParameterError(f"core {core.id} has no members")
+    if None in counts:
+        cell = core.member_cells[counts.index(None)]
+        raise ParameterError(f"core {core.id} member {cell} is not in the table")
+    top = max(counts) / table.total_years
     if top >= theta_high:
         return CLASS_CHD
     if top >= theta_dom:
@@ -776,16 +770,21 @@ def consensus_zone_map(yearly_zones: Sequence[ZoneMap], cores: Sequence[Core]) -
 
     Each year's zones are first translated to core ids; a cell's consensus
     label is the core id occurring in the most years, ties to the smaller
-    id.  Cells labeled in no year stay unlabeled.
+    id.  Cells labeled in no year stay unlabeled.  Core members are read by
+    the cell rule (:func:`_cell_arrays`); a core without members raises.
     """
     if not yearly_zones:
         raise ParameterError("consensus requires at least one yearly zone map")
     if not cores:
         raise ParameterError("consensus requires at least one core")
+    sizes = [len(core.member_cells) for core in cores]
+    if 0 in sizes:
+        raise ParameterError(f"core {cores[sizes.index(0)].id} has no members")
     geom = _shared_geometry(yearly_zones)
     ncores, ncells = len(cores), geom.ncells
-    groups = [core.member_cells for core in cores]
-    core_at, members, member_ids = _core_table(groups, (core.id for core in cores), geom)
+    members = _cell_arrays("core member", [c for core in cores for c in core.member_cells])
+    member_ids = np.repeat(np.fromiter((core.id for core in cores), np.int64, ncores), sizes)
+    core_at = _core_table(members, member_ids, geom)
 
     def nearest(anchor: CellIndex) -> int:
         # The core with the Chebyshev-nearest member, ties to the smaller id;

@@ -46,6 +46,7 @@ FOCUS_ARRAYS = ("tests/test_mistic_oracles.py", "-k", "per_focus_checks")
 MINING = ("tests/test_mistic_oracles.py", "-k", "counter")
 ZONE_TO_CORE = ("tests/test_mistic_oracles.py", "-k", "zone_to_core")
 CELL_RULE = ("tests/test_mistic_oracles.py", "-k", "cell_rule")
+CORES = ("tests/test_mistic_oracles.py", "-k", "extents_and_consensus or beyond_int32")
 FOCI = ("tests/test_mistic.py", "-k", "TestFoci")
 ZONE_MAP = ("tests/test_gridcore.py", "-k", "TestZoneMap")
 
@@ -122,6 +123,19 @@ MUTANTS = [
     Mutant("Foci shares the arrays it is given", "gridclust/gridcore.py",
            "    out = arr.astype(dtype)\n",
            "    out = arr.astype(dtype, copy=False)\n", FOCI),
+    # Cores from one int64 array: ordered by (-max count, first cell), and
+    # refused beyond the int32 range where close pairs are exact.
+    Mutant("core order ignores the maximum count", MISTIC,
+           "    by_core = np.lexsort((root, -top[root]))\n",
+           "    by_core = np.lexsort((root,))\n", CORES),
+    Mutant("tied cores ordered by their last cell", MISTIC,
+           "    by_core = np.lexsort((root, -top[root]))\n",
+           "    last = np.zeros(n, dtype=np.int64)\n"
+           "    np.maximum.at(last, root, np.arange(n))\n"
+           "    by_core = np.lexsort((last[root], -top[root]))\n", CORES),
+    Mutant("core grouping takes table keys beyond int32", MISTIC,
+           "    if beyond.any():\n",
+           "    if False:\n", CORES),
     # Consensus ties go to the smaller core id.
     Mutant("consensus ties go to the larger core id", MISTIC,
            "    winner = votes.argmax(axis=0)  # first max = smallest id\n",

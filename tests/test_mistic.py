@@ -394,6 +394,20 @@ class TestClassify:
         with pytest.raises(ParameterError):
             classify_core(core, table, theta_high=0.3, theta_dom=0.5)
 
+    def test_core_without_members_is_refused(self):
+        _, table = self.make_core([5], 31)
+        core = Core(7, (), (), 31, "cc", None, None, frozenset())
+        with pytest.raises(ParameterError, match=r"^core 7 has no members$"):
+            classify_core(core, table)
+
+    def test_member_missing_from_the_table_is_refused(self):
+        core, table = self.make_core([5, 6], 31)
+        core = Core(3, (CellIndex(0, 1), CellIndex(4, 4)), (6, 1), 31, "cc", None, None,
+                    frozenset())
+        named = r"^core 3 member CellIndex\(row=4, col=4\) is not in the table$"
+        with pytest.raises(ParameterError, match=named):
+            classify_core(core, table)
+
 
 class TestConsensus:
     def zone(self, labels, anchors):
@@ -464,6 +478,13 @@ class TestConsensus:
         y = self.zone([[0]], {0: CellIndex(0, 0)})
         with pytest.raises(ParameterError):
             consensus_zone_map([y], [])
+
+    def test_core_without_members_is_refused(self):
+        cores = [*self.cores_two(), Core(5, (), (), 3, "cc", None, None, frozenset())]
+        y = self.zone([[0, 0, 0]], {0: CellIndex(0, 0)})
+        for listed in (cores, cores[2:]):
+            with pytest.raises(ParameterError, match=r"^core 5 has no members$"):
+                consensus_zone_map([y], listed)
 
 
 class TestLargeLabels:

@@ -46,12 +46,12 @@ from gridclust.mistic import (
     FocusPoint,
     FocusFrequencyTable,
     MisticParams,
+    _cell_arrays,
     _cell_cores,
     _close_pairs,
     _components,
     _core_table,
     _flood_order,
-    _group_cells,
     _key_grid,
     _padded_keys,
     _sorted_pop_order,
@@ -159,10 +159,11 @@ def oracle_cell_cores(zm, core_of):
 
 def table_cell_cores(zm, cores, nearest):
     """The library's translation of ``zm`` to the ids of ``cores`` through
-    their flat cell-to-core table, ``nearest`` for anchors outside them."""
-    groups = [core.member_cells for core in cores]
-    core_at = _core_table(groups, [core.id for core in cores], zm.geometry)[0]
-    return _cell_cores(zm, core_at, nearest)
+    their flat cell-to-core table, ``nearest`` for anchors outside them; the
+    members are read by the cell rule as the consensus reads them."""
+    members = _cell_arrays("core member", [c for core in cores for c in core.member_cells])
+    owner = np.repeat([core.id for core in cores], [len(core.member_cells) for core in cores])
+    return _cell_cores(zm, _core_table(members, owner, zm.geometry), nearest)
 
 
 def oracle_member_cores(cores, geom):
@@ -458,9 +459,9 @@ def edge_lists(draw):
 
 @st.composite
 def cell_layouts(draw):
-    """Distinct cells in one to three clusters placed anywhere in a square of
-    side 10**6, or squeezed onto one row or one column, in drawn order."""
-    corner = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+    """Distinct cells in one to three clusters placed anywhere in the int32
+    range, or squeezed onto one row or one column, in drawn order."""
+    corner = st.tuples(st.integers(-(2**31), 2**31 - 13), st.integers(-(2**31), 2**31 - 13))
     box = st.tuples(st.integers(0, 12), st.integers(0, 12))
     cells = set()
     for r0, c0 in draw(st.lists(corner, min_size=1, max_size=3)):
@@ -509,17 +510,58 @@ def test_close_pairs_match_query_pairs(cells, radius):
     assert got == scipy_close_pairs(cells, radius)
 
 
+def one_count_table(cells):
+    """A table of ``cells``, in the order given, each seen once in one year."""
+    return FocusFrequencyTable(dict.fromkeys(map(CellIndex._make, cells), 1), 1, 1)
+
+
+def grouped(cells, radius):
+    """The members of each CR core that ``build_cores`` makes of ``cells``."""
+    return [list(core.member_cells) for core in build_cores(one_count_table(cells), "cr", radius)]
+
+
 @given(cells=cell_layouts(), radius=st.integers(1, 6))
 def test_grouping_matches_scipy_version(cells, radius):
-    cells = [CellIndex(*c) for c in cells]
-    assert _group_cells(cells, radius) == scipy_group_cells(cells, radius)
+    # With one count per cell, the cores come in the order of their first cell.
+    assert grouped(cells, radius) == sorted(map(sorted, scipy_group_cells(cells, radius)))
 
 
 @given(cells=cell_sets, radius=radii)
 def test_grouping_matches_union_find(cells, radius):
     cells = sorted(CellIndex(*c) for c in cells)
-    got = sorted(_group_cells(cells, radius))
-    assert got == sorted(oracle_group_cells(cells, radius))
+    assert grouped(cells, radius) == sorted(oracle_group_cells(cells, radius))
+
+
+@st.composite
+def cells_beyond_int32(draw):
+    """Up to seven cells of int32 coordinates and, at a drawn place among
+    them, one with a coordinate beyond int32 but within int64."""
+    near = st.integers(-3, 3) | st.integers(-(2**31), 2**31 - 1)
+    far = (st.sampled_from([-(2**63), -(2**31) - 1, 2**31, 2**63 - 1])
+           | st.integers(2**31, 2**63 - 1) | st.integers(-(2**63), -(2**31) - 1))
+    cells = draw(st.lists(st.tuples(near, near), max_size=6))
+    cell = draw(st.tuples(far, near) | st.tuples(near, far) | st.tuples(far, far))
+    cells.insert(draw(st.integers(0, len(cells))), cell)
+    return cells
+
+
+@given(cells=cells_beyond_int32(), mode=st.sampled_from(["cc", "cr"]), radius=radii)
+# Close pairs are exact for int32 cells only: these grouped 2**63 - 1 with
+# -(2**63), split two 8-adjacent cells and overflowed a window centre.
+@example(cells=[(0, -(2**63)), (0, -(2**63) + 1), (0, 2**63 - 1)], mode="cc", radius=1)
+@example(cells=[(-(2**63), 0), (2**63 - 2, 0), (2**63 - 1, 0)], mode="cc", radius=1)
+@example(
+    cells=[(-4204063049539262747, 2), (0, 0), (1, 4093011707372762161), (2, 0), (0, 2),
+           (2, -2320288992924720071)],
+    mode="cr",
+    radius=2,
+)
+def test_grouping_refuses_table_keys_beyond_int32(cells, mode, radius):
+    table = one_count_table(cells)
+    first = next(c for c in table.counts if not all(-(2**31) <= v < 2**31 for v in c))
+    named = re.escape(f"core grouping takes cells within int32, got table key {first}") + "$"
+    with pytest.raises(ParameterError, match=named):
+        build_cores(table, mode, radius)
 
 
 @given(stack=tie_heavy_stacks(max_years=1), orientation=orientations, data=st.data())
@@ -655,6 +697,18 @@ def test_focus_errors_match_the_heap_version(case, data):
     orientation=orientations,
     mode=st.sampled_from(["cc", "cr"]),
     radius=radii,
+)
+# Core ids go by decreasing maximum count, then by first cell: the core of
+# (0, 4) (count 2) comes before that of (0, 0) (count 1), and the core of
+# (0, 0) and (1, 1) before that of (0, 3), though its last cell comes after.
+@example(
+    stack=(np.array([[[2.0, 0, 0, 0, 1]], [[0.0, 0, 0, 0, 1]]]), np.ones((1, 5), dtype=bool)),
+    orientation="maxima", mode="cc", radius=1,
+)
+@example(
+    stack=(np.array([[[3.0, 0, 0, 3, 0], [0, 0, 0, 0, 0]], [[0.0, 0, 0, 0, 0], [0, 3, 0, 0, 0]]]),
+           np.ones((2, 5), dtype=bool)),
+    orientation="maxima", mode="cc", radius=1,
 )
 def test_extents_and_consensus_match_loop_versions(stack, orientation, mode, radius):
     values, mask = stack
