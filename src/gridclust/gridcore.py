@@ -165,6 +165,31 @@ def _as_vector(name: str, values, dtype: type) -> np.ndarray:
     return _freeze(out)
 
 
+def _flat_cells(rows: np.ndarray, cols: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """The flat index of each cell ``(rows[i], cols[i])`` of the grid, -1 off it."""
+    inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
+    return np.where(inside, rows * geom.ncols + cols, -1)
+
+
+def _as_labels(labels) -> np.ndarray:
+    """A frozen int32 copy of a label array, or :class:`ParameterError` naming
+    the first cell (row-major) whose value equals no int in [-1, 2**31 - 1].
+    Integral floats pass; an array that is not of a number type (bool, str,
+    object) fails at its first cell."""
+    arr = np.asarray(labels)
+    ok = np.zeros(arr.shape, dtype=bool)
+    if arr.dtype.kind in "iuf":
+        ok = (arr >= -1) & (arr <= 2**31 - 1) & (arr == np.trunc(arr))
+    if not ok.all():
+        i = int(ok.argmin())
+        at = tuple(map(int, np.unravel_index(i, arr.shape)))
+        raise ParameterError(
+            f"labels must be ints in [-1, {2**31 - 1}], "
+            f"got {arr.item(i)!r} at cell {at} (dtype {arr.dtype})"
+        )
+    return _freeze(arr.astype(np.int32))
+
+
 def _as_values(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.shape != shape:
@@ -330,7 +355,8 @@ class ZoneMap:
     representative member per core.  A :class:`CellTable` is kept as given;
     any other mapping is copied into a dict of ``CellIndex`` values, its
     labels read by :func:`as_integer`; a label outside the int32 range of
-    ``labels`` or an anchor that is no pair raises.
+    ``labels`` or an anchor that is no pair raises.  ``labels`` is read by
+    :func:`_as_labels`.
     """
 
     geometry: GridGeometry
@@ -338,14 +364,12 @@ class ZoneMap:
     anchors: Mapping[int, CellIndex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.labels, dtype=np.int32, copy=True)
+        arr = _as_labels(self.labels)
         if arr.shape != self.geometry.shape:
             raise ShapeMismatchError(
                 f"labels shape {arr.shape} != grid shape {self.geometry.shape}"
             )
-        if arr.size and arr.min() < -1:
-            raise ParameterError("labels must be >= -1")
-        object.__setattr__(self, "labels", _freeze(arr))
+        object.__setattr__(self, "labels", arr)
         if isinstance(self.anchors, CellTable):
             return
         anchors = {}

@@ -41,6 +41,7 @@ from ._forked import forked_map
 from ._forked import usable_cpus as _usable_cpus
 from .errors import EmptyDomainError, InternalError, ParameterError
 from .gridcore import PLANAR, CellIndex, GridGeometry, ZoneMap, as_integer
+from .gridcore import _as_labels, _as_vector, _flat_cells
 from .ingest import AnnualMeanStack
 
 _MAX_ITER = 300
@@ -62,8 +63,11 @@ _GEMM_MAX_WORK = 1 << 17
 class FeatureMatrix:
     """One feature vector per unmasked cell (component j = year j's mean).
 
-    ``means``/``scales`` record the standardization applied; ``scales`` stays
-    1.0 for zero-variance components, which therefore standardize to zeros.
+    ``cells``, each row's (row, col) cell as an (n, 2) integer array or a
+    sequence of pairs, is read once (:func:`_feature_cells`) into a tuple of
+    :class:`CellIndex`.  ``means``/``scales`` record the standardization
+    applied; ``scales`` stays 1.0 for zero-variance components, which
+    therefore standardize to zeros.
     """
 
     geometry: GridGeometry
@@ -92,10 +96,10 @@ class FeatureMatrix:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "cells", tuple(CellIndex(*c) for c in self.cells))
+        rows, cols = _feature_cells(self.cells, self.geometry)
+        object.__setattr__(self, "cells", tuple(map(CellIndex, rows.tolist(), cols.tolist())))
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        # The cells' row and column indices, built once for every run's labels grid.
-        rows, cols = np.array(self.cells, dtype=np.intp).reshape(-1, 2).T
+        # The cells' row and column indices, kept for every run's labels grid.
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
 
@@ -107,8 +111,34 @@ class FeatureMatrix:
             mat = mat.reshape(-1, 1)
         n, p = mat.shape
         geom = GridGeometry(PLANAR, 0.0, 0.0, 1.0, 1.0, n, 1)
-        cells = tuple(CellIndex(i, 0) for i in range(n))
+        cells = np.column_stack((np.arange(n), np.zeros(n, dtype=np.int64)))
         return cls(geom, cells, mat, tuple(range(p)), np.zeros(p), np.ones(p))
+
+
+def _feature_cells(cells, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and cols of ``cells`` as frozen int64 arrays, read by the
+    integer check of :class:`~gridclust.mistic.Foci` (:func:`_as_vector`).
+    The first cell in input order that lies off the grid or repeats an
+    earlier one raises :class:`ParameterError` naming it."""
+    arr = np.asarray(cells)
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise ParameterError(f"feature cells must be (row, col) pairs, got shape {arr.shape}")
+    arr = arr.reshape(-1, 2)
+    rows = _as_vector("feature cell rows", arr[:, 0], np.int64)
+    cols = _as_vector("feature cell cols", arr[:, 1], np.int64)
+    flat = _flat_cells(rows, cols, geom)
+    inside = flat >= 0
+    # An on-grid cell is repeated unless it is its flat index's first occurrence.
+    repeated = np.ones(rows.size, dtype=bool)
+    repeated[np.unique(flat, return_index=True)[1]] = False
+    fault = ~inside | repeated
+    if fault.any():
+        i = int(fault.argmax())
+        cell = CellIndex(int(rows[i]), int(cols[i]))
+        if not inside[i]:
+            raise ParameterError(f"feature cell {cell} lies outside the grid")
+        raise ParameterError(f"feature cell {cell} repeats an earlier cell")
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -126,7 +156,7 @@ class ClusterMap:
     converged_by: str = "stable"
 
     def __post_init__(self) -> None:
-        labels = np.array(self.labels, dtype=np.int32, copy=True)
+        labels = _as_labels(self.labels)
         if labels.shape != self.geometry.shape:
             raise ParameterError("labels grid must match the geometry shape")
         present = labels[labels >= 0]
@@ -137,7 +167,6 @@ class ClusterMap:
             if np.any(counts == 0):
                 raise ParameterError("empty cluster in final result")
         cents = np.array(self.centroids, dtype=np.float64, copy=True)
-        labels.setflags(write=False)
         cents.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "centroids", cents)
@@ -154,10 +183,10 @@ def build_features(stack: AnnualMeanStack) -> FeatureMatrix:
     Each component is z-scored across cells; a component with zero variance
     keeps scale 1 and becomes all zeros.
     """
-    rows, cols = np.nonzero(stack.mask)
-    if rows.size == 0:
+    cells = np.argwhere(stack.mask)
+    if cells.size == 0:
         raise EmptyDomainError("no cell is valid in every year")
-    cells = tuple(CellIndex(int(r), int(c)) for r, c in zip(rows, cols))
+    rows, cols = cells.T
     mat = np.column_stack([f.values[rows, cols] for f in stack.fields])
     means = mat.mean(axis=0)
     stds = mat.std(axis=0)
@@ -466,11 +495,12 @@ def run_kmeans(
         lower -= np.sqrt(np.einsum("ij,ij->i", step, step).max()) + slack
         centroids = new_centroids
 
-    final_centroids = _centroids(X, labels, k)
-    inertia = float(_own_sq_distances(X, final_centroids, labels, work).sum())
+    # The centroids are those of the final labels: a stable break leaves the
+    # labels they came from, and a max_iter exit updates them last.
+    inertia = float(_own_sq_distances(X, centroids, labels, work).sum())
     grid = _labels_grid(features, labels)
     return ClusterMap(
-        features.geometry, grid, k, final_centroids, inertia, iterations, seed,
+        features.geometry, grid, k, centroids, inertia, iterations, seed,
         tuple(history), converged_by,
     )
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from itertools import chain, pairwise, repeat
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
@@ -53,6 +54,7 @@ from .gridcore import (
     ScalarField,
     ZoneMap,
     _as_vector,
+    _flat_cells,
     as_integer,
 )
 from .ingest import AnnualMeanStack
@@ -206,9 +208,9 @@ def _padded_keys(field: ScalarField, orientation: str) -> tuple[np.ndarray, int,
 
     A key is the value, negated under maxima, so a smaller key is more
     extreme in both orientations; masked and padding cells hold ``+inf``.
-    Returns the keys, the padded row width and the eight flat neighbor
-    offsets.  Padding keeps every neighbor of a grid
-    cell in range, and a flat index orders exactly like ``(row, col)``.
+    Returns the keys, the padded row width and the eight flat neighbor offsets.
+    Padding keeps every neighbor of a grid cell in range, and a flat index
+    orders exactly like ``(row, col)``.
     """
     sign = -1.0 if _check_orientation(orientation) else 1.0
     nrows, ncols = field.geometry.shape
@@ -275,8 +277,8 @@ def _neighbor_relations(
 
 class _KeyGrid(NamedTuple):
     """A field's padded keys (:func:`_padded_keys`) and the relations of each
-    cell to its neighbors (:func:`_neighbor_relations`), computed once and
-    shared by focus detection and the watershed."""
+    cell to its neighbors (:func:`_neighbor_relations`), built once per field
+    by :func:`_key_grid` for focus detection and the watershed."""
 
     keys: np.ndarray
     width: int
@@ -286,17 +288,21 @@ class _KeyGrid(NamedTuple):
     tails: np.ndarray
 
 
-# The key grid of the field run_mistic is on, per thread: (field, orientation, grid).
-_shared = threading.local()
+# Per thread, the last key grid built: (weak reference to its field, orientation, grid).
+_last = threading.local()
 
 
 def _key_grid(field: ScalarField, orientation: str) -> _KeyGrid:
-    """The key grid that :func:`run_mistic` shares for ``field``, or a new one."""
-    shared = getattr(_shared, "grid", None)
-    if shared is not None and shared[0] is field and shared[1] == orientation:
-        return shared[2]
+    """The key grid of ``field`` under ``orientation``.  Each thread keeps the
+    last grid it built, with a weak reference to its field, and hands it out
+    again while the same field object and orientation are asked for."""
+    last = getattr(_last, "grid", None)
+    if last is not None and last[0]() is field and last[1] == orientation:
+        return last[2]
     keys, width, offsets = _padded_keys(field, orientation)
-    return _KeyGrid(keys, width, offsets, *_neighbor_relations(keys, offsets))
+    grid = _KeyGrid(keys, width, offsets, *_neighbor_relations(keys, offsets))
+    _last.grid = (weakref.ref(field), orientation, grid)
+    return grid
 
 
 def detect_focus_points(field: ScalarField, orientation: str, year: int = 0) -> Foci:
@@ -321,9 +327,7 @@ def detect_focus_points(field: ScalarField, orientation: str, year: int = 0) -> 
     blocked = np.bincount(component, weights=grid.beaten)[first] > 0
     emit = first[valid[first] & ~blocked & (size < total_valid)]
 
-    rows, cols = np.divmod(emit, grid.width)
-    rows -= 1
-    cols -= 1
+    rows, cols = np.divmod(emit - grid.width - 1, grid.width)  # padded flat index to grid cell
     return Foci(rows, cols, field.values[rows, cols], year)
 
 
@@ -450,12 +454,6 @@ def _focus_cells(foci: Sequence[FocusPoint]) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(foci, Foci):
         return foci.rows, foci.cols
     return tuple(_cell_arrays("focus", [fp.cell for fp in foci]).T)
-
-
-def _flat_cells(rows: np.ndarray, cols: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    """The flat index of each cell ``(rows[i], cols[i])`` of the grid, -1 off it."""
-    inside = (rows >= 0) & (rows < geom.nrows) & (cols >= 0) & (cols < geom.ncols)
-    return np.where(inside, rows * geom.ncols + cols, -1)
 
 
 def _focus_seeds(
@@ -859,21 +857,15 @@ def run_mistic(stack: AnnualMeanStack, params: MisticParams = MisticParams()) ->
 
     yearly_foci: dict[int, Foci] = {}
     yearly_zones: dict[int, ZoneMap] = {}
-    try:
-        for year, f in zip(stack.years, stack.fields):
-            field = ScalarField(stack.geometry, f.values, stack.mask, f.units)
-            # Focus detection and the watershed share one key grid per field.
-            _shared.grid = (field, params.orientation, _key_grid(field, params.orientation))
-            foci = detect_focus_points(field, params.orientation, year=year)
-            yearly_foci[year] = foci
-            if not foci:
-                notices.append(f"year {year}: no focus points detected")
-                unlabeled = np.full(stack.geometry.shape, -1)
-                yearly_zones[year] = ZoneMap(stack.geometry, unlabeled, {})
-                continue
-            yearly_zones[year] = watershed_zones(field, foci, params.orientation)
-    finally:
-        _shared.grid = None
+    for year, f in zip(stack.years, stack.fields):
+        field = ScalarField(stack.geometry, f.values, stack.mask, f.units)
+        foci = detect_focus_points(field, params.orientation, year=year)
+        yearly_foci[year] = foci
+        if not foci:
+            notices.append(f"year {year}: no focus points detected")
+            yearly_zones[year] = ZoneMap(stack.geometry, np.full(stack.geometry.shape, -1), {})
+            continue
+        yearly_zones[year] = watershed_zones(field, foci, params.orientation)
 
     table = mine_frequent_foci([yearly_foci[y] for y in stack.years], stack.n_years, min_years)
 

@@ -49,6 +49,8 @@ CELL_RULE = ("tests/test_mistic_oracles.py", "-k", "cell_rule")
 CORES = ("tests/test_mistic_oracles.py", "-k", "extents_and_consensus or beyond_int32")
 FOCI = ("tests/test_mistic.py", "-k", "TestFoci")
 ZONE_MAP = ("tests/test_gridcore.py", "-k", "TestZoneMap")
+KEY_GRID = ("tests/test_mistic_oracles.py", "-k", "key_grid")
+FEATURE_CELLS = ("tests/test_kmeans.py", "-k", "TestFeatureCells")
 
 MISTIC = "gridclust/mistic.py"
 KMEANS_PY = "gridclust/kmeans.py"
@@ -91,7 +93,8 @@ MUTANTS = [
     Mutant("a CellTable label past its anchors reads as an anchored zone", MISTIC,
            "np.where(flat < len(anchors), flat, -1)",
            "np.minimum(flat, len(anchors) - 1)", ZONE_TO_CORE),
-    Mutant("the bounds rule takes an off-grid anchor or member as a grid cell", MISTIC,
+    Mutant("the bounds rule takes an off-grid anchor or member as a grid cell",
+           "gridclust/gridcore.py",
            "    return np.where(inside, rows * geom.ncols + cols, -1)\n",
            "    return rows * geom.ncols + cols\n", ZONE_TO_CORE),
     Mutant("the cell reader's fast path takes a float cell", MISTIC,
@@ -123,6 +126,22 @@ MUTANTS = [
     Mutant("Foci shares the arrays it is given", "gridclust/gridcore.py",
            "    out = arr.astype(dtype)\n",
            "    out = arr.astype(dtype, copy=False)\n", FOCI),
+    # Labels, and the cells of a feature matrix, are refused unless they
+    # equal ints within their range.
+    Mutant("ZoneMap skips its integral check", "gridclust/gridcore.py",
+           "        ok = (arr >= -1) & (arr <= 2**31 - 1) & (arr == np.trunc(arr))\n",
+           "        ok = (arr >= -1) & (arr <= 2**31 - 1)\n", ZONE_MAP),
+    Mutant("FeatureMatrix skips its bounds check", KMEANS_PY,
+           "    fault = ~inside | repeated\n",
+           "    fault = repeated\n", FEATURE_CELLS),
+    # Detection and the watershed share a field's key grid only for the
+    # field object and orientation it was built for.
+    Mutant("the key grid ignores the orientation", MISTIC,
+           "    if last is not None and last[0]() is field and last[1] == orientation:\n",
+           "    if last is not None and last[0]() is field:\n", KEY_GRID),
+    Mutant("the key grid ignores which field it was built for", MISTIC,
+           "    if last is not None and last[0]() is field and last[1] == orientation:\n",
+           "    if last is not None and last[1] == orientation:\n", KEY_GRID),
     # Cores from one int64 array: ordered by (-max count, first cell), and
     # refused beyond the int32 range where close pairs are exact.
     Mutant("core order ignores the maximum count", MISTIC,

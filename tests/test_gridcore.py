@@ -233,6 +233,32 @@ class TestZoneMap:
         with pytest.raises(ParameterError):
             ZoneMap(planar_geom(1, 2), np.array([[-2, 0]]))
 
+    @pytest.mark.parametrize(
+        "labels, value, cell",
+        [
+            ([[0, 0.7]], 0.7, (0, 1)),
+            ([["1", 0]], "1", (0, 0)),
+            ([[0, np.nan]], math.nan, (0, 1)),
+            ([[0, 2**31]], 2**31, (0, 1)),
+            ([[-2, 0]], -2, (0, 0)),
+            ([[0, -np.inf]], -math.inf, (0, 1)),
+        ],
+    )
+    def test_rejects_labels_that_equal_no_int(self, labels, value, cell):
+        # 0.7 used to be truncated to 0 and "1" read as 1; NaN and 2**31 ended
+        # in numpy's ValueError and OverflowError.
+        named = re.escape(f"labels must be ints in [-1, 2147483647], got {value!r} at cell {cell}")
+        with pytest.raises(ParameterError, match=named):
+            ZoneMap(planar_geom(1, 2), labels)
+
+    def test_keeps_labels_that_equal_ints(self):
+        zm = ZoneMap(planar_geom(2, 2), np.zeros((2, 2)))
+        assert zm.labels.dtype == np.int32 and zm.labels.tolist() == [[0, 0], [0, 0]]
+        zm = ZoneMap(planar_geom(1, 3), np.array([-1.0, 2.0**31 - 1, 3.0]).reshape(1, 3))
+        assert zm.labels.tolist() == [[-1, 2**31 - 1, 3]]
+        zm = ZoneMap(planar_geom(1, 2), np.array([[7, 0]], dtype=np.uint64))
+        assert zm.labels.tolist() == [[7, 0]]
+
     @pytest.mark.parametrize("label", [1.5, "0", None])
     def test_rejects_anchor_labels_that_are_no_integer(self, label):
         # int() would read 1.5 as 1 and "0" as 0.

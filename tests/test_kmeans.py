@@ -6,16 +6,18 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
+import re
+
 import numpy as np
 import pytest
 
 from gridclust import kmeans
 from gridclust.errors import EmptyDomainError, InternalError, ParameterError
-from gridclust.gridcore import CELSIUS
+from gridclust.gridcore import CELSIUS, CellIndex
 from gridclust.ingest import AnnualMeanStack
-from gridclust.kmeans import FeatureMatrix, build_features, run_kmeans, sweep_k
+from gridclust.kmeans import ClusterMap, FeatureMatrix, build_features, run_kmeans, sweep_k
 
-from conftest import make_field
+from conftest import make_field, planar_geom
 from test_cli import fresh_python
 
 
@@ -89,6 +91,54 @@ class TestBuildFeatures:
         f = make_field([[0.0, 0.0]], mask=mask, units=CELSIUS)
         with pytest.raises(EmptyDomainError):
             build_features(stack_from_fields([f]))
+
+
+def features_on_2x2(cells):
+    n = len(cells)
+    return FeatureMatrix(planar_geom(2, 2), cells, np.zeros((n, 1)), (2000,), np.zeros(1), np.ones(1))
+
+
+class TestFeatureCells:
+    def test_reads_pairs_once_as_int_cells(self):
+        feats = features_on_2x2([CellIndex(1, 0), (np.int64(0), np.uint8(1)), [1, 1]])
+        assert feats.cells == ((1, 0), (0, 1), (1, 1))
+        assert {type(c) for c in feats.cells} == {CellIndex}
+        assert {type(v) for c in feats.cells for v in c} == {int}
+        grid = run_kmeans(feats, 1).labels
+        assert grid.tolist() == [[-1, 0], [0, 0]]
+
+    @pytest.mark.parametrize(
+        "cells, named",
+        [
+            ([(0, 0), (-1, 0)], "feature cell CellIndex(row=-1, col=0) lies outside the grid"),
+            ([(0, 2), (0, 0)], "feature cell CellIndex(row=0, col=2) lies outside the grid"),
+            ([(1, 1), (1, 1), (2, 0)], "feature cell CellIndex(row=1, col=1) repeats an earlier cell"),
+            ([(1, 1), (2, 0), (1, 1)], "feature cell CellIndex(row=2, col=0) lies outside the grid"),
+            ([(0, 1), (1, 0), (0, 1), (1, 0)],
+             "feature cell CellIndex(row=0, col=1) repeats an earlier cell"),
+        ],
+    )
+    def test_refuses_feature_cells_off_the_grid_or_repeated(self, cells, named):
+        # The first such cell in input order is named; (-1, 0) used to label
+        # row 1 and a repeat to end in "empty cluster in final result".
+        with pytest.raises(ParameterError, match=re.escape(named) + "$"):
+            features_on_2x2(cells)
+
+    @pytest.mark.parametrize("cells", [[(0, 0), (0.7, 1)], [(0, 0), (1.0, 1)], [(0, "1")]])
+    def test_refuses_feature_cells_that_are_no_integers(self, cells):
+        # (0.7, 1) used to be truncated to (0, 1).
+        with pytest.raises(ParameterError, match="^feature cell rows must be a 1-D array of int64"):
+            features_on_2x2(cells)
+
+    @pytest.mark.parametrize("cells", [[(0, 0, 0)], [0, 1]])
+    def test_refuses_feature_cells_that_are_no_pairs(self, cells):
+        with pytest.raises(ParameterError, match=r"^feature cells must be \(row, col\) pairs"):
+            features_on_2x2(cells)
+
+    def test_cluster_map_refuses_labels_that_equal_no_int(self):
+        # [[0.5, 1.2]] used to be truncated to [[0, 1]].
+        with pytest.raises(ParameterError, match=re.escape("got 0.5 at cell (0, 0)")):
+            ClusterMap(planar_geom(1, 2), [[0.5, 1.2]], 2, np.zeros((2, 1)), 0.0, 1, 0)
 
 
 class TestFourPointOracle:

@@ -1,4 +1,7 @@
+import gc
+import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -567,10 +570,37 @@ class TestRunMistic:
         for year in stack.years:
             assert np.array_equal(shared.yearly_zones[year].labels,
                                   expected.yearly_zones[year].labels)
-        # Outside run_mistic each public stage builds its own.
+        # A caller's detection and watershed on one field share one grid too.
         field = stack.fields[0]
         watershed_zones(field, detect_focus_points(field, "maxima"), "maxima")
-        assert len(calls) == stack.n_years + 2
+        assert len(calls) == stack.n_years + 1
+
+    def test_key_grid_keeps_one_grid_per_thread(self):
+        values = np.array([[0.0, 1.0, 0.0], [2.0, 3.0, 1.0]])
+        field, twin = make_field(values), make_field(values)
+        grid = mistic._key_grid(field, "maxima")
+        assert mistic._key_grid(field, "maxima") is grid
+        # Another thread's grid leaves this thread's last grid in place.
+        worker = threading.Thread(target=mistic._key_grid, args=(twin, "maxima"))
+        worker.start()
+        worker.join()
+        assert mistic._key_grid(field, "maxima") is grid
+        # An equal field that is another object, or another orientation, gets
+        # a new grid, and the thread keeps only the newest.
+        other = mistic._key_grid(twin, "maxima")
+        assert other is not grid and np.array_equal(other.keys, grid.keys)
+        minima = mistic._key_grid(twin, "minima")
+        valid = other.keys < np.inf
+        assert minima is not other and np.array_equal(minima.keys[valid], -other.keys[valid])
+        assert mistic._key_grid(field, "maxima") is not grid
+
+    def test_key_grid_lets_a_deleted_field_go(self):
+        field = make_field(np.arange(6.0).reshape(2, 3))
+        watershed_zones(field, detect_focus_points(field, "maxima"), "maxima")
+        gone = weakref.ref(field)
+        del field
+        gc.collect()
+        assert gone() is None
 
     def test_each_year_calls_the_public_stages(self, monkeypatch):
         # A tracer that wraps the module's public functions sees one focus

@@ -20,7 +20,8 @@ one ``core_of`` call per anchor, a member-to-core dict lookup and a
 nearest-member search in Python ints, every anchor and member read by the
 cell rule (``oracle_cell_cores`` with ``oracle_member_cores`` and
 ``oracle_consensus_core_of``).  The library must reproduce them exactly on
-every input.
+every input.  Stages that share a field's key grid are checked against the
+same calls on fresh, equal fields (``stage_result``).
 """
 
 import heapq
@@ -37,7 +38,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from gridclust.errors import ParameterError
+from gridclust.errors import EmptyDomainError, ParameterError
 from gridclust.gridcore import CELSIUS, NEIGHBOR_OFFSETS, CellIndex, ZoneMap
 from gridclust.ingest import AnnualMeanStack
 from gridclust.mistic import (
@@ -616,6 +617,52 @@ def test_sorted_pop_order_matches_the_heap(case, orientation, data):
 def column(*values):
     """A one-column field over an open mask, as ``tie_heavy_fields`` draws it."""
     return np.array(values).reshape(-1, 1), np.ones((len(values), 1), dtype=bool)
+
+
+def stage_result(stage, field, foci, orientation):
+    """Detection's foci or the watershed's labels and anchors on ``field``, as
+    plain values, or the type and message of what the stage raised."""
+    try:
+        if stage == "detect":
+            return list(detect_focus_points(field, orientation))
+        zones = watershed_zones(field, foci, orientation)
+        return zones.labels.tolist(), dict(zones.anchors)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(cases=st.lists(tie_heavy_fields(), min_size=2, max_size=3), data=st.data())
+# Field 0 has its maximum and minimum at different cells, and field 1 its
+# minimum at another cell than field 0's.
+@example(
+    cases=[column(0.0, 1.0, 2.0), column(2.0, 1.0, 0.0)],
+    data=Drawn([(0, "maxima", "detect"), (0, "minima", "detect"), (1, "minima", "detect")]),
+)
+def test_key_grid_interleavings_match_fresh_calls(cases, data):
+    # Consecutive stages on one field object and orientation share its key
+    # grid.  Any run of detection and watershed calls over the fields must
+    # give what each call gives on an equal field that no call has seen.
+    def fresh(i):
+        return make_field(*cases[i])
+
+    foci, expected = {}, {}
+    for i in range(len(cases)):
+        for orientation in ("maxima", "minima"):
+            try:
+                foci[i, orientation] = detect_focus_points(fresh(i), orientation)
+            except EmptyDomainError:
+                foci[i, orientation] = ()
+            for stage in ("detect", "watershed"):
+                expected[i, orientation, stage] = stage_result(
+                    stage, fresh(i), foci[i, orientation], orientation
+                )
+    fields = [fresh(i) for i in range(len(cases))]
+    call = st.tuples(
+        st.integers(0, len(cases) - 1), orientations, st.sampled_from(["detect", "watershed"])
+    )
+    for i, orientation, stage in data.draw(st.lists(call, min_size=1, max_size=12)):
+        got = stage_result(stage, fields[i], foci[i, orientation], orientation)
+        assert got == expected[i, orientation, stage]
 
 
 @given(case=tie_heavy_fields(), orientation=orientations, data=st.data())
